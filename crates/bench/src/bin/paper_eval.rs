@@ -3,7 +3,7 @@
 //! ```text
 //! paper-eval [--timeout SECS] [--septhold N] [--csv DIR] [--jobs N]
 //!            [--trace FILE|stderr] [--preprocess]
-//!            [fig2|fig3|fig4|fig5|fig6|fig-portfolio|fig-incremental|threshold|all|dump DIR]
+//!            [fig2|fig3|fig4|fig5|fig6|fig-incremental|threshold|all|dump DIR]
 //! paper-eval report <TRACE> [--stages FILE]
 //! paper-eval check-trace <TRACE>
 //! ```
@@ -184,7 +184,6 @@ fn main() {
         "fig4" => fig4(&config),
         "fig5" => fig5(&config),
         "fig6" => fig6(&config),
-        "fig-portfolio" => fig_portfolio(&config),
         "fig-incremental" => fig_incremental(&config),
         "all" => {
             let t = threshold_experiment(&config, true);
@@ -200,7 +199,6 @@ fn main() {
             fig4(&c);
             fig5(&c);
             fig6(&c);
-            fig_portfolio(&c);
             fig_incremental(&c);
         }
         other => {
@@ -599,70 +597,6 @@ fn fig6(config: &Config) {
     println!(
         "shape check: baselines may win tiny conjunctive formulas; HYBRID \
          should scale to the large disjunctive ones"
-    );
-}
-
-/// Beyond the paper: the parallel portfolio against its own lanes on the
-/// 39 non-invariant benchmarks. The paper *predicts* the better encoding
-/// with `SEP_THOLD`; the portfolio races all three and keeps whichever
-/// answers first, so it should match the per-benchmark best single lane up
-/// to racing overhead — without needing the threshold at all.
-fn fig_portfolio(config: &Config) {
-    let threshold = config.septhold.unwrap_or(sufsat_core::DEFAULT_SEP_THOLD);
-    banner(&format!(
-        "Portfolio: PORTFOLIO vs HYBRID({threshold}), SD, EIJ (39 non-invariant benchmarks)"
-    ));
-    let methods = [
-        Method::Portfolio,
-        Method::Hybrid(threshold),
-        Method::Sd,
-        Method::Eij,
-    ];
-    let table = run_table(non_invariant(), &methods, config.run_config(), config.jobs);
-    print_table(&methods, &table);
-
-    // Winner distribution: which lane carried each portfolio run.
-    let mut wins: Vec<(String, usize)> = Vec::new();
-    for row in &table {
-        let Some(mode) = row[0].portfolio_winner else { continue };
-        let label = format!("{mode:?}");
-        match wins.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, n)) => *n += 1,
-            None => wins.push((label, 1)),
-        }
-    }
-    wins.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    print!("{:>22}", "lane wins:");
-    for (label, n) in &wins {
-        print!("  {label}={n}");
-    }
-    println!();
-
-    let mut header = String::from("benchmark,nodes,winner_lane");
-    for m in &methods {
-        header.push_str(&format!(",{0}_s,{0}_completed", m.label()));
-    }
-    let rows: Vec<String> = table
-        .iter()
-        .map(|row| {
-            let winner = row[0]
-                .portfolio_winner
-                .map_or_else(|| "none".to_owned(), |m| format!("{m:?}"));
-            let mut line = format!("{},{},{winner}", row[0].name, row[0].dag_size);
-            for r in row {
-                line.push_str(&format!(
-                    ",{:.4},{}",
-                    r.total_time.as_secs_f64(),
-                    r.completed
-                ));
-            }
-            line
-        })
-        .collect();
-    config.write_csv("fig-portfolio", &header, &rows);
-    println!(
-        "shape check: PORTFOLIO should complete everywhere and track the \
-         per-benchmark best lane (small overhead when lanes share cores)"
     );
 }
 

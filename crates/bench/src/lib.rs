@@ -5,8 +5,7 @@
 //! in for the paper's 30-minute limit, scaled down) and collects the
 //! measurements each figure reports. [`parallel_map`] fans independent
 //! runs across a bounded worker pool (the harness's `--jobs` flag) while
-//! keeping result order deterministic, and [`Method::Portfolio`] measures
-//! the portfolio engine itself.
+//! keeping result order deterministic.
 
 #![warn(missing_docs)]
 
@@ -19,9 +18,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sufsat_baselines::{decide_lazy, decide_svc, LazyOptions, SvcOptions};
-use sufsat_core::{
-    decide, decide_portfolio, DecideOptions, EncodingMode, Outcome, PortfolioOptions, StopReason,
-};
+use sufsat_core::{decide, DecideOptions, EncodingMode, Outcome, StopReason};
 use sufsat_workloads::Benchmark;
 
 /// Procedures compared in the paper's figures.
@@ -39,9 +36,6 @@ pub enum Method {
     Lazy,
     /// Case-splitting checker (SVC stand-in).
     Svc,
-    /// Parallel portfolio racing HYBRID, SD and EIJ lanes
-    /// ([`sufsat_core::decide_portfolio`]).
-    Portfolio,
 }
 
 impl Method {
@@ -54,7 +48,6 @@ impl Method {
             Method::FixedHybrid => "FIXED-HYB".to_owned(),
             Method::Lazy => "CVC*".to_owned(),
             Method::Svc => "SVC*".to_owned(),
-            Method::Portfolio => "PORTFOLIO".to_owned(),
         }
     }
 }
@@ -84,8 +77,6 @@ pub struct RunResult {
     pub sep_predicates: usize,
     /// DAG size of the input formula.
     pub dag_size: usize,
-    /// Winning lane's encoding mode ([`Method::Portfolio`] only).
-    pub portfolio_winner: Option<EncodingMode>,
 }
 
 impl RunResult {
@@ -156,7 +147,6 @@ pub fn run_with(bench: &mut Benchmark, method: Method, config: RunConfig) -> Run
         conflict_clauses: 0,
         sep_predicates: 0,
         dag_size,
-        portfolio_winner: None,
     };
     let outcome = match method {
         Method::Sd | Method::Eij | Method::Hybrid(_) | Method::FixedHybrid => {
@@ -196,24 +186,6 @@ pub fn run_with(bench: &mut Benchmark, method: Method, config: RunConfig) -> Run
             };
             let (outcome, _) = decide_svc(&mut bench.tm, bench.formula, &options);
             outcome
-        }
-        Method::Portfolio => {
-            let mut base = DecideOptions::default();
-            base.timeout = Some(timeout);
-            base.preprocess = config.preprocess;
-            base.trans_budget = 3_000_000;
-            let options = PortfolioOptions {
-                base,
-                ..PortfolioOptions::default()
-            };
-            let d = decide_portfolio(&mut bench.tm, bench.formula, &options);
-            result.translate_time = d.stats.translate_time;
-            result.sat_time = d.stats.sat_time;
-            result.cnf_clauses = d.stats.cnf_clauses;
-            result.conflict_clauses = d.stats.conflict_clauses;
-            result.sep_predicates = d.stats.sep_predicates;
-            result.portfolio_winner = d.winner_mode();
-            d.outcome
         }
     };
     result.total_time = start.elapsed();
@@ -263,14 +235,6 @@ pub fn run_with(bench: &mut Benchmark, method: Method, config: RunConfig) -> Run
             conflict_clauses = result.conflict_clauses,
             sep_predicates = result.sep_predicates,
             dag_size = result.dag_size,
-            winner = result
-                .portfolio_winner
-                .map_or("none", |m| match m {
-                    EncodingMode::Sd => "sd",
-                    EncodingMode::Eij => "eij",
-                    EncodingMode::Hybrid(_) => "hybrid",
-                    EncodingMode::FixedHybrid => "fixed-hybrid",
-                })
         );
     }
     result
@@ -384,17 +348,6 @@ mod tests {
     fn labels_are_informative() {
         assert_eq!(Method::Hybrid(700).label(), "HYBRID(700)");
         assert_eq!(Method::Lazy.label(), "CVC*");
-        assert_eq!(Method::Portfolio.label(), "PORTFOLIO");
-    }
-
-    #[test]
-    fn portfolio_method_answers_and_reports_winner() {
-        let mut bench = pipeline(2, 2, 1);
-        let r = run(&mut bench, Method::Portfolio, Duration::from_secs(30));
-        assert!(r.completed);
-        assert_eq!(r.valid, Some(true));
-        assert!(r.portfolio_winner.is_some());
-        assert!(r.cnf_clauses > 0);
     }
 
     #[test]

@@ -498,8 +498,7 @@ mod tests {
                  \"thread\":1,\"fields\":{{\"bench\":\"b1\",\"method\":\"SD\",\
                  \"verdict\":\"valid\",\"completed\":true,\"total_us\":10,\
                  \"translate_us\":4,\"sat_us\":6,\"cnf_clauses\":{cnf},\
-                 \"conflict_clauses\":2,\"sep_predicates\":3,\"dag_size\":9,\
-                 \"winner\":\"none\"}}}}\n"
+                 \"conflict_clauses\":2,\"sep_predicates\":3,\"dag_size\":9}}}}\n"
             )
         };
         let text = format!("{}{}", mk(100), mk(200));

@@ -42,7 +42,7 @@ pub struct DecideOptions {
     /// Optional cooperative cancellation token, polled in the translation
     /// and SAT stages. Raising it from another thread stops the run with
     /// [`Outcome::Unknown`]`(`[`StopReason::Cancelled`]`)` — this is how
-    /// the portfolio engine retires losing lanes.
+    /// the daemon abandons the solve of a client that disconnected.
     pub cancel: Option<CancelToken>,
     /// Optional live progress heartbeat: a clone of the handle is
     /// installed into the SAT solver ([`Solver::set_progress_handle`]),
@@ -134,8 +134,8 @@ pub enum StopReason {
     ConflictBudget,
     /// The SAT wall-clock timeout elapsed.
     Timeout,
-    /// A [`CancelToken`] was raised from another thread (e.g. a portfolio
-    /// lane losing the race).
+    /// A [`CancelToken`] was raised from another thread (e.g. the daemon
+    /// retiring the job of a disconnected client).
     Cancelled,
 }
 
@@ -224,9 +224,9 @@ impl DecideStats {
 
     /// Folds another run's measurements into this one: additive counters
     /// and times are summed, structural quantities (DAG size, ranges,
-    /// class counts, p-fraction) are kept at their maximum. Used to
-    /// aggregate the total cost of a portfolio race across winner and
-    /// cancelled loser lanes.
+    /// class counts, p-fraction) are kept at their maximum. Used by
+    /// [`check_bounded_with_stats`](crate::check_bounded_with_stats) to
+    /// total the cost of every unrolling step.
     pub fn absorb(&mut self, other: &DecideStats) {
         self.translate_time += other.translate_time;
         self.sat_time += other.sat_time;
@@ -267,37 +267,9 @@ pub struct Decision {
     pub certificate: Option<Certificate>,
 }
 
-/// Decides validity of the SUF formula `phi`.
-///
-/// Counterexamples are verified against the reference evaluator before
-/// being returned.
-///
-/// # Examples
-///
-/// ```
-/// use sufsat_core::{decide, DecideOptions};
-/// use sufsat_suf::TermManager;
-///
-/// let mut tm = TermManager::new();
-/// let f = tm.declare_fun("f", 1);
-/// let x = tm.int_var("x");
-/// let y = tm.int_var("y");
-/// let fx = tm.mk_app(f, vec![x]);
-/// let fy = tm.mk_app(f, vec![y]);
-/// let hyp = tm.mk_eq(x, y);
-/// let conc = tm.mk_eq(fx, fy);
-/// let phi = tm.mk_implies(hyp, conc);
-/// let decision = decide(&mut tm, phi, &DecideOptions::default());
-/// assert!(decision.outcome.is_valid());
-/// ```
-///
-/// # Panics
-///
-/// Panics if a counterexample fails verification (an internal soundness
-/// bug, exercised heavily by the test suite).
 /// Short wire label for an encoding mode (`hybrid` thresholds travel in a
 /// separate field).
-pub(crate) fn mode_label(mode: EncodingMode) -> &'static str {
+fn mode_label(mode: EncodingMode) -> &'static str {
     match mode {
         EncodingMode::Sd => "sd",
         EncodingMode::Eij => "eij",
@@ -307,7 +279,7 @@ pub(crate) fn mode_label(mode: EncodingMode) -> &'static str {
 }
 
 /// Short wire label for an outcome.
-pub(crate) fn outcome_label(outcome: &Outcome) -> &'static str {
+fn outcome_label(outcome: &Outcome) -> &'static str {
     match outcome {
         Outcome::Valid => "valid",
         Outcome::Invalid(_) => "invalid",

@@ -8,9 +8,7 @@
 //! SUF formula and reports the measurements the paper's evaluation uses.
 //!
 //! The automatic `SEP_THOLD` selection of paper §4.1 is provided by
-//! [`select_threshold`]. Where the paper *predicts* the better encoding,
-//! [`decide_portfolio`] instead *races* the encodings on threads and
-//! cancels the losers — see the `portfolio` module docs.
+//! [`select_threshold`].
 //!
 //! # Examples
 //!
@@ -36,7 +34,6 @@ mod bmc;
 mod cache;
 mod certify;
 mod decide;
-mod portfolio;
 mod threshold;
 
 pub use bmc::{
@@ -49,9 +46,6 @@ pub use certify::{
 };
 pub use decide::{
     decide, DecideOptions, DecideStats, Decision, Outcome, StopReason, DEFAULT_SEP_THOLD,
-};
-pub use portfolio::{
-    decide_many, decide_portfolio, LaneReport, PortfolioDecision, PortfolioOptions,
 };
 pub use threshold::{select_threshold, ThresholdSample};
 

@@ -64,8 +64,8 @@ pub struct EncodeOptions {
     /// Optional wall-clock deadline for transitivity generation.
     pub deadline: Option<Instant>,
     /// Optional cooperative cancellation token polled during transitivity
-    /// generation, so a cancelled portfolio lane can abandon a blowing-up
-    /// EIJ translation, not just a running SAT search.
+    /// generation, so a cancelled request can abandon a blowing-up EIJ
+    /// translation, not just a running SAT search.
     pub cancel: Option<CancelToken>,
 }
 

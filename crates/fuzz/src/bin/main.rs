@@ -44,7 +44,6 @@ OPTIONS:
     --print-case <N>    print the generated problem for case N and exit
     --no-metamorphic    skip the metamorphic relation checks
     --no-baselines      drop the lazy/SVC baselines from the panel
-    --no-portfolio      drop the portfolio engine from the panel
     --no-certify        skip model replay and DRAT/RUP proof checking
     --no-shrink         report failures without minimizing them
     --only <NAMES>      keep only the named procedures on the panel
@@ -107,7 +106,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--print-case" => print_case = Some(parse_num(value("--print-case")?)?),
             "--no-metamorphic" => config.metamorphic = false,
             "--no-baselines" => config.oracle.include_baselines = false,
-            "--no-portfolio" => config.oracle.include_portfolio = false,
             "--no-certify" => config.oracle.certify = false,
             "--no-shrink" => config.shrink = false,
             "--only" => {

@@ -5,9 +5,9 @@
 //!
 //! A campaign generates seeded random SUF formulas ([`generate`]), runs
 //! each through a panel of independent procedures — the six eager
-//! encoding modes, the lazy and SVC baselines, the incremental session
-//! and the parallel portfolio ([`default_procedures`]) — and
-//! cross-checks the verdicts
+//! encoding modes, the preprocessing and result-cache lenses, the lazy
+//! and SVC baselines and the incremental session
+//! ([`default_procedures`]) — and cross-checks the verdicts
 //! ([`run_oracle`]). Answers are certified two-sidedly: SAT verdicts by
 //! decoding the model and re-evaluating the *original* formula through
 //! the reference evaluator, UNSAT verdicts by replaying the logged DRAT
@@ -396,7 +396,6 @@ mod tests {
             cases: 8,
             oracle: OracleOptions {
                 include_baselines: false,
-                include_portfolio: false,
                 ..OracleOptions::default()
             },
             metamorphic: false,

@@ -1,25 +1,21 @@
 //! The differential, self-checking oracle.
 //!
 //! Every formula is pushed through a panel of independent procedures —
-//! the six eager encoding modes, the lazy and case-splitting baselines,
-//! the incremental session (the negated formula NNF-split into pushed
-//! conjuncts) and the parallel portfolio — and the verdicts are
-//! compared. With
-//! certification enabled, each eager/portfolio answer additionally
-//! carries a [`Certificate`]: SAT answers are replayed through the
-//! reference evaluator, UNSAT answers through the DRAT/RUP proof
-//! checker. Any disagreement, failed certificate or panic is an oracle
-//! failure carrying everything needed to reproduce it.
+//! the six eager encoding modes, the preprocessing and result-cache
+//! lenses, the lazy and case-splitting baselines and the incremental
+//! session (the negated formula NNF-split into pushed conjuncts) — and
+//! the verdicts are compared. With certification enabled, each eager and
+//! session answer additionally carries a [`Certificate`]: SAT answers are
+//! replayed through the reference evaluator, UNSAT answers through the
+//! DRAT/RUP proof checker. Any disagreement, failed certificate or panic
+//! is an oracle failure carrying everything needed to reproduce it.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use sufsat_baselines::{decide_lazy, decide_svc, LazyOptions, SvcOptions};
-use sufsat_core::{
-    decide, decide_portfolio, CacheHandle, DecideOptions, EncodingMode, Outcome,
-    PortfolioOptions,
-};
+use sufsat_core::{decide, CacheHandle, DecideOptions, EncodingMode, Outcome};
 use sufsat_incremental::{conjuncts_of, Session};
 use sufsat_suf::{TermId, TermManager};
 
@@ -83,12 +79,10 @@ pub struct OracleOptions {
     pub timeout: Duration,
     /// Transitivity-constraint budget for the eager encodings.
     pub trans_budget: usize,
-    /// Certify eager/portfolio answers (model replay + RUP check).
+    /// Certify eager and session answers (model replay + RUP check).
     pub certify: bool,
     /// Include the lazy and SVC baseline procedures.
     pub include_baselines: bool,
-    /// Include the parallel portfolio engine.
-    pub include_portfolio: bool,
 }
 
 impl Default for OracleOptions {
@@ -98,7 +92,6 @@ impl Default for OracleOptions {
             trans_budget: 2_000_000,
             certify: true,
             include_baselines: true,
-            include_portfolio: true,
         }
     }
 }
@@ -155,8 +148,8 @@ pub fn default_procedures(options: &OracleOptions) -> Vec<Procedure> {
     .collect();
 
     {
-        // Eleventh lens: the default hybrid with SatELite-style CNF
-        // preprocessing (subsumption, self-subsuming resolution, bounded
+        // The preprocessing lens: the default hybrid with SatELite-style
+        // CNF preprocessing (subsumption, self-subsuming resolution, bounded
         // variable elimination with model reconstruction). Certification
         // is left off so elimination actually runs — under proof logging
         // the solver restricts itself to the RUP-replayable subset — and
@@ -183,7 +176,7 @@ pub fn default_procedures(options: &OracleOptions) -> Vec<Procedure> {
     }
 
     {
-        // Twelfth lens: the result cache. One cache is shared across the
+        // The result-cache lens. One cache is shared across the
         // panel's whole lifetime — a campaign reuses the panel, so
         // α-equivalent cases collide across iterations, exercising the
         // canonicalizer on unrelated-looking formulas. Each formula is
@@ -289,39 +282,6 @@ pub fn default_procedures(options: &OracleOptions) -> Vec<Procedure> {
                 let result = session.check();
                 let verdict = Verdict::from(&result.outcome);
                 match result.certificate {
-                    Some(cert) if !cert.holds() => {
-                        Err(format!("certificate check failed: {cert:?}"))
-                    }
-                    Some(_) => Ok(ProcedureAnswer {
-                        verdict,
-                        certified: true,
-                    }),
-                    None => Ok(ProcedureAnswer {
-                        verdict,
-                        certified: false,
-                    }),
-                }
-            }),
-        });
-    }
-
-    if options.include_portfolio {
-        let pf_opts = PortfolioOptions {
-            base: DecideOptions {
-                trans_budget: options.trans_budget,
-                timeout: Some(options.timeout),
-                certify: options.certify,
-                ..DecideOptions::default()
-            },
-            ..PortfolioOptions::default()
-        };
-        procs.push(Procedure {
-            name: "portfolio".to_string(),
-            run: Box::new(move |tm, phi| {
-                let mut tm = tm.clone();
-                let decision = decide_portfolio(&mut tm, phi, &pf_opts);
-                let verdict = Verdict::from(&decision.outcome);
-                match decision.certificate {
                     Some(cert) if !cert.holds() => {
                         Err(format!("certificate check failed: {cert:?}"))
                     }
@@ -537,7 +497,7 @@ mod tests {
     fn panel_agrees_on_simple_formulas() {
         let options = OracleOptions::default();
         let procs = default_procedures(&options);
-        assert_eq!(procs.len(), 12);
+        assert_eq!(procs.len(), 11);
         assert!(
             procs.iter().any(|p| p.name == "eager:preprocess"),
             "the preprocessing lens must be on the panel"
@@ -556,7 +516,7 @@ mod tests {
             let phi = parse_problem(&mut tm, text).expect("parses");
             let report = run_oracle(&tm, phi, &procs).expect("oracle accepts");
             assert_eq!(report.consensus, Some(expected), "{text}");
-            // All six eager lanes and the portfolio certified their answers.
+            // All six eager lanes and the session certified their answers.
             assert!(report.certified_count() >= 7, "{text}");
         }
     }

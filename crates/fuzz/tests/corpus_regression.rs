@@ -37,7 +37,7 @@ fn checked_in_corpus_replays_cleanly() {
         assert_ne!(report.consensus, Some(Verdict::Unknown));
         assert!(
             report.certified_count() >= 7,
-            "{}: eager + portfolio answers must be certified, got {}",
+            "{}: eager + session answers must be certified, got {}",
             path.display(),
             report.certified_count()
         );

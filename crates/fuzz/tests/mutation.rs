@@ -53,7 +53,6 @@ fn injected_verdict_flip_is_caught_and_shrunk() {
     let oracle = OracleOptions {
         certify: false,
         include_baselines: false,
-        include_portfolio: false,
         ..OracleOptions::default()
     };
     let mut procs = default_procedures(&oracle);

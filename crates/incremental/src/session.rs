@@ -6,8 +6,8 @@
 //! `decide(¬(A₁ ∧ … ∧ Aₙ))` — [`Outcome::Valid`] means the conjunction is
 //! unsatisfiable (its negation is valid), [`Outcome::Invalid`] carries an
 //! assignment satisfying every live assertion. Keeping `decide`'s outcome
-//! surface means every existing consumer (portfolio, fuzz oracle, BMC)
-//! can compare the two paths verbatim.
+//! surface means every existing consumer (daemon, fuzz oracle, BMC) can
+//! compare the two paths verbatim.
 //!
 //! Scoping is implemented with activation literals: each live assertion's
 //! encoded top literal is guarded by one fresh solver variable asserted

@@ -8,9 +8,9 @@
 //!
 //! * **Hierarchical spans** with wall-clock timing ([`span`]) — one per
 //!   pipeline stage (`suf.eliminate`, `encode`, `sat.solve`,
-//!   `core.decide`, `portfolio.lane`, …), nested via a per-thread stack.
+//!   `core.decide`, `serve.request`, …), nested via a per-thread stack.
 //! * **Point events** with typed fields ([`event`] / [`event!`]) — class
-//!   method decisions, solver results, portfolio wins, oracle verdicts.
+//!   method decisions, solver results, cache hits, oracle verdicts.
 //! * **Named atomic counters and gauges** ([`Counter`], [`Gauge`]) — e.g.
 //!   cumulative SAT conflicts across a whole evaluation run.
 //! * **Pluggable sinks** ([`Sink`]) — JSON-lines to a file or stderr,

@@ -27,7 +27,6 @@
 //! | `op`                | fields                                             |
 //! |---------------------|----------------------------------------------------|
 //! | `decide`            | `problem`, `mode?`, `septhold?`, `cnf?`, `timeout_ms?`, `preprocess?` |
-//! | `decide-portfolio`  | same as `decide`                                   |
 //! | `session-open`      | `mode?`, `septhold?`, `cnf?`, `preprocess?`        |
 //! | `session-assert`    | `session`, `problem`                               |
 //! | `session-push`      | `session`                                          |
@@ -157,8 +156,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub enum Op {
     /// One-shot [`sufsat_core::decide`].
     Decide,
-    /// One-shot [`sufsat_core::decide_portfolio`].
-    DecidePortfolio,
     /// Create an incremental session owned by this connection.
     SessionOpen,
     /// Assert a formula in a session's current scope.
@@ -189,7 +186,6 @@ impl Op {
     pub fn name(&self) -> &'static str {
         match self {
             Op::Decide => "decide",
-            Op::DecidePortfolio => "decide-portfolio",
             Op::SessionOpen => "session-open",
             Op::SessionAssert => "session-assert",
             Op::SessionPush => "session-push",
@@ -278,7 +274,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, (Option<u64>, String)> {
         .ok_or_else(|| fail("missing `op` field".to_owned()))?;
     let op = match op_name {
         "decide" => Op::Decide,
-        "decide-portfolio" => Op::DecidePortfolio,
         "session-open" => Op::SessionOpen,
         "session-assert" => Op::SessionAssert,
         "session-push" => Op::SessionPush,
@@ -316,7 +311,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, (Option<u64>, String)> {
     let preprocess = field_bool(&doc, "preprocess").map_err(&fail)?;
     let what = field_str(&doc, "what").map_err(&fail)?.map(str::to_owned);
 
-    let needs_problem = matches!(op, Op::Decide | Op::DecidePortfolio | Op::SessionAssert);
+    let needs_problem = matches!(op, Op::Decide | Op::SessionAssert);
     if needs_problem && problem.is_none() {
         return Err(fail(format!("op `{op_name}` requires a `problem` field")));
     }

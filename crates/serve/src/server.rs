@@ -53,10 +53,7 @@ use std::time::{Duration, Instant};
 use sufsat_cache::{
     canonicalize, CacheValue, CachedVerdict, Joined, ResultCache, StatsDigest, StoreStats,
 };
-use sufsat_core::{
-    decide, decide_portfolio, DecideOptions, DecideStats, Outcome, PortfolioOptions,
-    SepAssignment, StopReason,
-};
+use sufsat_core::{decide, DecideOptions, DecideStats, Outcome, SepAssignment, StopReason};
 use sufsat_incremental::Session;
 use sufsat_obs::{HistogramBins, RollingWindow};
 use sufsat_sat::{CancelToken, ProgressHandle, ProgressSnapshot};
@@ -182,6 +179,11 @@ const SLOW_LOG_CAP: usize = 8;
 /// the since-start histogram.
 const LATENCY_WINDOW: Duration = Duration::from_secs(10);
 
+/// How long the stop lets connection writers flush the replies queued
+/// before it, after which the sockets of clients that stopped reading
+/// are closed outright.
+const CLOSE_LINGER: Duration = Duration::from_secs(2);
+
 /// One slow-request record: what ran, how long it waited and executed,
 /// and the solver's last progress heartbeat when it finished.
 #[derive(Clone)]
@@ -209,6 +211,9 @@ pub(crate) struct Shared {
     done: Mutex<bool>,
     done_cv: Condvar,
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled whenever a connection thread removes its stream from
+    /// `conn_streams` on the way out.
+    conn_closed: Condvar,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
     c_requests: AtomicU64,
     c_ok: AtomicU64,
@@ -538,7 +543,6 @@ struct SessionOpJob {
 
 struct DecideJob {
     id: Option<u64>,
-    portfolio: bool,
     problem: String,
     options: DecideOptions,
     deadline: Option<Instant>,
@@ -589,6 +593,7 @@ impl Server {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             conn_streams: Mutex::new(HashMap::new()),
+            conn_closed: Condvar::new(),
             conn_handles: Mutex::new(Vec::new()),
             c_requests: AtomicU64::new(0),
             c_ok: AtomicU64::new(0),
@@ -729,9 +734,7 @@ impl ServerHandle {
             }
         }
         self.shared.state.store(STATE_STOPPED, Ordering::Release);
-        // Unblock the acceptor with a throwaway connection, then force
-        // remaining (idle) client connections closed so their readers
-        // see EOF and clean up.
+        // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -744,11 +747,24 @@ impl ServerHandle {
             }
             let _ = metrics_thread.join();
         }
+        // Half-close the client connections: each reader sees EOF and
+        // exits, and each writer then flushes every reply queued so far —
+        // the `shutdown` op's own `ok` among them — before its socket
+        // closes. A writer blocked on a client that stopped reading is
+        // cut off by the full close after the linger.
         {
             let streams = self
                 .shared
                 .conn_streams
                 .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            for stream in streams.values() {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
+            let (streams, _) = self
+                .shared
+                .conn_closed
+                .wait_timeout_while(streams, CLOSE_LINGER, |s| !s.is_empty())
                 .unwrap_or_else(|e| e.into_inner());
             for stream in streams.values() {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -861,6 +877,7 @@ fn serve_connection(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .remove(&conn_id);
+    shared.conn_closed.notify_all();
     shared.connections.fetch_sub(1, Ordering::AcqRel);
     shared.gauges();
 }
@@ -1105,7 +1122,7 @@ fn handle_payload(
             }
             true
         }
-        Op::Decide | Op::DecidePortfolio => {
+        Op::Decide => {
             if shared.draining() {
                 shared.c_errors.fetch_add(1, Ordering::Relaxed);
                 send(tx, error_reply(id, "server is shutting down"));
@@ -1123,7 +1140,6 @@ fn handle_payload(
             let job_key = shared.next_job.fetch_add(1, Ordering::Relaxed);
             let job = Box::new(DecideJob {
                 id,
-                portfolio: matches!(req.op, Op::DecidePortfolio),
                 problem: req.problem.clone().expect("validated"),
                 options,
                 deadline: deadline_of(shared, &req),
@@ -1352,16 +1368,12 @@ fn verdict_reply(
     outcome: &Outcome,
     time_us: u64,
     extra: &[(&str, u64)],
-    winner: Option<&str>,
     cache_status: Option<&str>,
 ) -> Vec<u8> {
     let (verdict, reason) = outcome_verdict(outcome);
     let mut b = ReplyBuilder::new(id, "ok").str_field("verdict", verdict);
     if let Some(reason) = reason {
         b = b.str_field("reason", reason);
-    }
-    if let Some(winner) = winner {
-        b = b.str_field("winner", winner);
     }
     if let Some(cache_status) = cache_status {
         b = b.str_field("cache", cache_status);
@@ -1409,7 +1421,6 @@ fn deadline_budget(
                     0,
                     &[("queue_expired", 1)],
                     None,
-                    None,
                 ))
             } else {
                 Ok(Some(deadline - now))
@@ -1419,8 +1430,7 @@ fn deadline_budget(
 }
 
 fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressHandle) {
-    let op = if job.portfolio { "decide-portfolio" } else { "decide" };
-    let span = sufsat_obs::span_with!("serve.request", op = op, conn = job.conn.conn_id);
+    let span = sufsat_obs::span_with!("serve.request", op = "decide", conn = job.conn.conn_id);
     let started = Instant::now();
     let queue_wait = started.saturating_duration_since(job.admitted_at);
     let mut status = "ok";
@@ -1442,41 +1452,22 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
                 job.options.timeout = budget;
                 job.options.cancel = Some(job.cancel.clone());
                 job.options.progress = Some(progress.clone());
-                type DecideRun = Result<
-                    (
-                        sufsat_core::Outcome,
-                        sufsat_core::DecideStats,
-                        Option<&'static str>,
-                        Option<&'static str>,
-                    ),
-                    String,
-                >;
+                type DecideRun = Result<(Outcome, DecideStats, Option<&'static str>), String>;
                 let outcome = catch_unwind(AssertUnwindSafe(|| -> DecideRun {
                     let mut tm = TermManager::new();
                     let phi = parse_problem(&mut tm, &job.problem)
                         .map_err(|e| format!("parse error: {e}"))?;
-                    if job.portfolio {
-                        let options = PortfolioOptions {
-                            base: job.options.clone(),
-                            ..PortfolioOptions::default()
-                        };
-                        let d = decide_portfolio(&mut tm, phi, &options);
-                        let winner = d
-                            .winner_mode()
-                            .map(|m| mode_name(m))
-                            .unwrap_or("none");
-                        Ok((d.outcome, d.stats, Some(winner), None))
-                    } else if let Some(cache) = &shared.cache {
+                    if let Some(cache) = &shared.cache {
                         let (outcome, stats, cache_status) =
                             decide_through_cache(cache, &mut tm, phi, &job);
-                        Ok((outcome, stats, None, Some(cache_status)))
+                        Ok((outcome, stats, Some(cache_status)))
                     } else {
                         let d = decide(&mut tm, phi, &job.options);
-                        Ok((d.outcome, d.stats, None, None))
+                        Ok((d.outcome, d.stats, None))
                     }
                 }));
                 match outcome {
-                    Ok(Ok((outcome, stats, winner, cache_status))) => {
+                    Ok(Ok((outcome, stats, cache_status))) => {
                         settle_outcome(shared, &outcome);
                         if cache_status == Some("hit") {
                             shared
@@ -1494,7 +1485,6 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
                                 ("cnf_clauses", stats.cnf_clauses),
                                 ("queue_us", queue_wait.as_micros() as u64),
                             ],
-                            winner,
                             cache_status,
                         )
                     }
@@ -1519,7 +1509,7 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
     // captured here, before the worker loop clears it, so a slow-log
     // entry carries the search's final published counters.
     shared.record_request(
-        op,
+        "decide",
         job.conn.conn_id,
         status,
         queue_wait,
@@ -1531,8 +1521,8 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
     drop(span);
 }
 
-/// Runs a plain (non-portfolio) decide through the daemon's result cache
-/// with single-flight dedup on the canonical fingerprint.
+/// Runs a decide through the daemon's result cache with single-flight
+/// dedup on the canonical fingerprint.
 ///
 /// Returns the outcome, the stats the reply should report (a hit replays
 /// the original solve's counters), and the reply's `cache` field:
@@ -1635,15 +1625,6 @@ fn light_value(outcome: &Outcome, stats: &DecideStats) -> Option<CacheValue> {
             solve_time_us: stats.sat_time.as_micros() as u64,
         },
     })
-}
-
-fn mode_name(mode: sufsat_core::EncodingMode) -> &'static str {
-    match mode {
-        sufsat_core::EncodingMode::Sd => "sd",
-        sufsat_core::EncodingMode::Eij => "eij",
-        sufsat_core::EncodingMode::Hybrid(_) => "hybrid",
-        sufsat_core::EncodingMode::FixedHybrid => "fixed-hybrid",
-    }
 }
 
 fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &ProgressHandle) {
@@ -1841,7 +1822,6 @@ fn execute_session_op(
                     ("live", session.num_assertions() as u64),
                     ("depth", session.depth() as u64),
                 ],
-                None,
                 None,
             )
         }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify plus smoke runs of the evaluation harness
-# and the parallel portfolio path. Fully offline; no network, no extra
-# tools beyond cargo.
+# (sequential and with parallel `--jobs` workers), the daemon, the cache and
+# the differential fuzzer. Fully offline; no network, no extra tools beyond
+# cargo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,8 +15,8 @@ cargo test -q --workspace
 echo "==> smoke: threshold selection (sequential)"
 ./target/release/paper-eval --timeout 2 threshold
 
-echo "==> smoke: portfolio + parallel harness (2 worker threads)"
-./target/release/paper-eval --timeout 2 --jobs 2 fig-portfolio
+echo "==> smoke: parallel harness (2 worker threads)"
+./target/release/paper-eval --timeout 2 --jobs 2 fig4
 
 echo "==> obs: traced benchmark run + wire-schema validation"
 rm -f target/ci-trace.jsonl

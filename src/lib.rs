@@ -53,9 +53,8 @@ pub use sufsat_suf as suf;
 pub use sufsat_workloads as workloads;
 
 pub use sufsat_core::{
-    check_bounded, decide, decide_many, decide_portfolio, select_threshold, BmcResult,
-    Certificate, CnfMode, DecideOptions, DecideStats, Decision, EncodingMode, LaneReport,
-    Outcome, PortfolioDecision, PortfolioOptions, StopReason, ThresholdSample, TransitionSystem,
+    check_bounded, decide, select_threshold, BmcResult, Certificate, CnfMode, DecideOptions,
+    DecideStats, Decision, EncodingMode, Outcome, StopReason, ThresholdSample, TransitionSystem,
     DEFAULT_SEP_THOLD,
 };
 pub use sufsat_suf::{

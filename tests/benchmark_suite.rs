@@ -67,6 +67,33 @@ fn hybrid_threshold_picks_sd_for_dense_classes() {
 }
 
 #[test]
+fn default_hybrid_matches_the_planted_verdict_on_the_whole_suite() {
+    // Short per-run timeout: the heavyweight suite members time out, which
+    // proves nothing either way; every definitive answer must equal the
+    // verdict the construction planted.
+    let options = DecideOptions {
+        timeout: Some(Duration::from_millis(1500)),
+        ..DecideOptions::default()
+    };
+    let mut answered = 0usize;
+    for mut bench in suite() {
+        let d = decide(&mut bench.tm, bench.formula, &options);
+        if matches!(d.outcome, Outcome::Unknown(_)) {
+            continue;
+        }
+        answered += 1;
+        assert_eq!(
+            Some(d.outcome.is_valid()),
+            bench.expected,
+            "{}: HYBRID(700) contradicts the planted verdict",
+            bench.name
+        );
+    }
+    // The suite must actually exercise the check, not time out whole.
+    assert!(answered >= 20, "only {answered} of 49 benchmarks answered");
+}
+
+#[test]
 fn suite_structure_matches_the_paper() {
     let s = suite();
     assert_eq!(s.len(), 49);

@@ -1,6 +1,6 @@
 //! Fixed-seed differential fuzzing smoke test: a small campaign over the
 //! full procedure panel must come back clean, with every definitive
-//! eager/portfolio answer carrying a checked certificate. The CI script
+//! eager and session answer carrying a checked certificate. The CI script
 //! runs a larger campaign through the `sufsat-fuzz` binary; this keeps a
 //! floor of coverage inside `cargo test` itself.
 
@@ -13,11 +13,10 @@ fn fixed_seed_campaign_is_clean() {
         cases: 20,
         metamorphic: true,
         oracle: OracleOptions {
-            // Lazy/SVC baselines and the portfolio run in the CI campaign
-            // and the fuzz crate's own tests; the smoke test keeps to the
-            // certified eager lanes to stay fast in debug builds.
+            // The lazy/SVC baselines run in the CI campaign and the fuzz
+            // crate's own tests; the smoke test leaves them out to stay
+            // fast in debug builds.
             include_baselines: false,
-            include_portfolio: false,
             ..OracleOptions::default()
         },
         ..CampaignConfig::default()

@@ -10,7 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sufsat::serve::{reply_status, reply_verdict, Client, ServeOptions, Server};
 use sufsat_obs::json::{self, Json};
@@ -188,6 +188,24 @@ fn introspection_layer_end_to_end() {
     json::escape_into(&mut msg, &php_problem(11));
     msg.push_str(",\"timeout_ms\":2000}");
     inflight.send_raw(msg.as_bytes()).unwrap();
+    // Only drain once the decide is admitted: a `shutdown` that overtakes
+    // it makes the server refuse it as "server is shutting down".
+    let admitted_by = Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = client.metrics().unwrap();
+        if metrics
+            .get("inflight")
+            .and_then(Json::as_f64)
+            .is_some_and(|n| n >= 1.0)
+        {
+            break;
+        }
+        assert!(
+            Instant::now() < admitted_by,
+            "decide never admitted: {metrics:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let mut admin = Client::connect(&*addr).unwrap();
     let reply = admin.shutdown_server().unwrap();

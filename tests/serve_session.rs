@@ -1,9 +1,9 @@
 //! Concurrency and soak battery for the `sufsat-serve` daemon.
 //!
 //! Drives a real in-process server over real TCP connections: mixed
-//! decide/portfolio/session traffic from many clients, mid-solve
-//! disconnects, deadline expiry (in the queue and in the solver),
-//! admission-control overload bursts, and graceful drains. Every verdict
+//! decide/session traffic from many clients, mid-solve disconnects,
+//! deadline expiry (in the queue and in the solver), admission-control
+//! overload bursts, and graceful drains. Every verdict
 //! the server hands out is compared against a fresh [`sufsat::decide`]
 //! on the same formula, and every test ends by proving the server
 //! reclaimed everything: zero inflight jobs, zero open sessions.
@@ -192,9 +192,7 @@ fn soak_mixed_traffic() {
                         8 => run_session_script(&mut client),
                         k => {
                             let body = POOL[k % POOL.len()];
-                            let portfolio = k % 2 == 1;
-                            let op = if portfolio { "decide-portfolio" } else { "decide" };
-                            let mut msg = format!("{{\"op\":\"{op}\",\"problem\":");
+                            let mut msg = String::from("{\"op\":\"decide\",\"problem\":");
                             json::escape_into(&mut msg, &problem(body));
                             msg.push_str(",\"timeout_ms\":60000}");
                             let reply = call(&mut client, &msg);
@@ -448,6 +446,71 @@ fn graceful_shutdown_drains_inflight_work() {
     assert_eq!(report.queued, 0);
     assert_eq!(report.open_sessions, 0);
     assert_counter_invariant(&report.counters);
+}
+
+#[test]
+fn shutdown_reply_is_written_before_the_stop() {
+    // The `shutdown` op queues its `ok` for the connection's writer, then
+    // starts the drain, which completes at once on an idle daemon. The
+    // stop (`wait` on its own thread, as `sufsat serve` runs it) must not
+    // close the connection before that reply is on the wire.
+    const ROUNDS: usize = 2000;
+    let mut lost = Vec::new();
+    for round in 0..ROUNDS {
+        let handle = Server::bind(
+            "127.0.0.1:0",
+            ServeOptions {
+                workers: 1,
+                ..ServeOptions::default()
+            },
+        )
+        .unwrap();
+        let addr = handle.local_addr();
+        let stop = std::thread::spawn(move || handle.wait());
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        match client.shutdown_server() {
+            Ok(reply) => assert_eq!(reply_status(&reply), "ok", "{reply:?}"),
+            Err(e) => lost.push((round, e.to_string())),
+        }
+        let report = stop.join().expect("stop thread");
+        assert_counter_invariant(&report.counters);
+    }
+    assert!(
+        lost.is_empty(),
+        "{} of {ROUNDS} shutdown replies lost, first: {:?}",
+        lost.len(),
+        lost.first()
+    );
+}
+
+#[test]
+fn client_that_never_reads_cannot_hold_up_the_stop() {
+    let handle = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = handle.local_addr();
+    // Pipeline far more replies than the socket buffers hold, and never
+    // read one: the connection's writer ends up blocked mid-write.
+    const FLOOD: u64 = 10_000;
+    let mut flood = Client::connect(addr).unwrap();
+    for _ in 0..FLOOD {
+        flood.send_raw(br#"{"op":"metrics"}"#).unwrap();
+    }
+    wait_for_stats(&addr.to_string(), "the flood to be read", |s| {
+        s.get("counters")
+            .and_then(|c| c.get("requests"))
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n >= FLOOD)
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || tx.send(handle.shutdown()).unwrap());
+    let report = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a client that never reads held up the stop");
+    stopper.join().expect("stop thread");
+    assert_counter_invariant(&report.counters);
+    drop(flood);
 }
 
 #[test]
