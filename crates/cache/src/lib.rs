@@ -356,7 +356,7 @@ mod tests {
         }
         let compacted = cache.compact_log().unwrap().unwrap();
         drop(cache);
-        let (_, report) = log::scan(&path).map(|(r, rep)| (r, rep)).unwrap();
+        let (_, report) = log::scan(&path).unwrap();
         assert_eq!(report.records, 1);
         assert!(compacted > 8);
     }

@@ -34,6 +34,41 @@ pub struct TransitionSystem {
     pub property: TermId,
 }
 
+impl TransitionSystem {
+    /// Checks that `state` and `next` align, that state and input terms
+    /// are integers and that `init` and `property` are Boolean.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first of these that fails.
+    pub fn assert_well_formed(&self, tm: &TermManager) {
+        assert_eq!(self.state.len(), self.next.len(), "state and next must align");
+        for &s in self.state.iter().chain(&self.inputs) {
+            assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
+        }
+        assert_eq!(tm.sort(self.init), Sort::Bool, "init must be Boolean");
+        assert_eq!(tm.sort(self.property), Sort::Bool, "property must be Boolean");
+    }
+
+    /// Advances `current` from `step` to the next step:
+    /// `s_{k+1} = next(s_k, fresh inputs)`, by [`substitute_state`].
+    pub fn advance(
+        &self,
+        tm: &mut TermManager,
+        current: &mut HashMap<TermId, TermId>,
+        step: usize,
+    ) {
+        let next_state: Vec<TermId> = self
+            .next
+            .iter()
+            .map(|&n| substitute_state(tm, n, self, current, step))
+            .collect();
+        for (s, n) in self.state.iter().zip(next_state) {
+            current.insert(*s, n);
+        }
+    }
+}
+
 /// Result of a bounded check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BmcResult {
@@ -112,20 +147,7 @@ pub fn check_bounded_with_stats(
     bound: usize,
     options: &DecideOptions,
 ) -> (BmcResult, DecideStats) {
-    assert_eq!(
-        system.state.len(),
-        system.next.len(),
-        "state and next must align"
-    );
-    for &s in system.state.iter().chain(&system.inputs) {
-        assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
-    }
-    assert_eq!(tm.sort(system.init), Sort::Bool, "init must be Boolean");
-    assert_eq!(
-        tm.sort(system.property),
-        Sort::Bool,
-        "property must be Boolean"
-    );
+    system.assert_well_formed(tm);
 
     // Current symbolic value of each state variable (step 0: itself).
     let mut current: HashMap<TermId, TermId> =
@@ -150,15 +172,7 @@ pub fn check_bounded_with_stats(
         if step == bound {
             break;
         }
-        // Advance: s_{k+1} = next(s_k, fresh inputs).
-        let next_state: Vec<TermId> = system
-            .next
-            .iter()
-            .map(|&n| substitute_state(tm, n, system, &current, step))
-            .collect();
-        for (s, n) in system.state.iter().zip(next_state) {
-            current.insert(*s, n);
-        }
+        system.advance(tm, &mut current, step);
     }
     (BmcResult::Bounded(bound), total)
 }
@@ -321,8 +335,10 @@ mod tests {
             init,
             property,
         };
-        let mut options = DecideOptions::default();
-        options.conflict_budget = Some(1);
+        let options = DecideOptions {
+            conflict_budget: Some(1),
+            ..DecideOptions::default()
+        };
         match check_bounded(&mut tm, &system, 2, &options) {
             BmcResult::Unknown { .. } | BmcResult::Bounded(_) => {}
             other => panic!("unexpected {other:?}"),

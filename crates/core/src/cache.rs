@@ -192,8 +192,10 @@ mod tests {
     #[test]
     fn repeat_decide_hits_the_cache_with_the_same_verdict() {
         let handle = CacheHandle::with_budget(1 << 20);
-        let mut options = DecideOptions::default();
-        options.cache = Some(handle.clone());
+        let options = DecideOptions {
+            cache: Some(handle.clone()),
+            ..DecideOptions::default()
+        };
 
         let mut tm = TermManager::new();
         let x = tm.int_var("x");
@@ -218,8 +220,10 @@ mod tests {
     #[test]
     fn alpha_renamed_query_hits_and_its_model_falsifies() {
         let handle = CacheHandle::with_budget(1 << 20);
-        let mut options = DecideOptions::default();
-        options.cache = Some(handle.clone());
+        let options = DecideOptions {
+            cache: Some(handle.clone()),
+            ..DecideOptions::default()
+        };
 
         let mut tm = TermManager::new();
         let phi = invalid_uf(&mut tm, "f", "x", "y");
@@ -245,11 +249,13 @@ mod tests {
     #[test]
     fn unknown_outcomes_are_never_cached() {
         let handle = CacheHandle::with_budget(1 << 20);
-        let mut options = DecideOptions::default();
-        options.cache = Some(handle.clone());
         let cancel = sufsat_sat::CancelToken::new();
         cancel.cancel();
-        options.cancel = Some(cancel);
+        let mut options = DecideOptions {
+            cache: Some(handle.clone()),
+            cancel: Some(cancel),
+            ..DecideOptions::default()
+        };
 
         let mut tm = TermManager::new();
         let phi = invalid_uf(&mut tm, "f", "x", "y");
@@ -267,9 +273,11 @@ mod tests {
     #[test]
     fn certifying_runs_bypass_the_cache() {
         let handle = CacheHandle::with_budget(1 << 20);
-        let mut options = DecideOptions::default();
-        options.cache = Some(handle.clone());
-        options.certify = true;
+        let options = DecideOptions {
+            cache: Some(handle.clone()),
+            certify: true,
+            ..DecideOptions::default()
+        };
 
         let mut tm = TermManager::new();
         let x = tm.int_var("x");
@@ -291,8 +299,10 @@ mod tests {
         assert_eq!(a, a.clone());
         assert_ne!(a, b);
         // DecideOptions stays comparable with a handle attached.
-        let mut opts_a = DecideOptions::default();
-        opts_a.cache = Some(a.clone());
+        let opts_a = DecideOptions {
+            cache: Some(a.clone()),
+            ..DecideOptions::default()
+        };
         assert_eq!(opts_a, opts_a.clone());
     }
 }

@@ -1,17 +1,22 @@
 //! Two-sided answer certification.
 //!
-//! A decision procedure for validity answers in two directions, and both
-//! can be independently certified without trusting the encoder or the SAT
-//! solver:
+//! A decision procedure for validity answers in two directions, and the
+//! two are certified to different depths:
 //!
 //! * **Invalid** comes with a decoded counterexample. The certifier
 //!   replays it through the reference evaluator [`sufsat_suf::eval`] —
 //!   against the post-elimination separation formula *and* against the
 //!   original SUF formula, with function/predicate tables reconstructed
-//!   from the elimination's instance lists.
+//!   from the elimination's instance lists. This trusts neither the
+//!   encoder nor the SAT solver.
 //! * **Valid** means the SAT solver refuted `¬F_bool`. With proof logging
 //!   enabled the recorded DRAT proof is replayed through the built-in
-//!   forward RUP checker against the recorded input clauses.
+//!   forward RUP checker against the solver's own recorded input clauses.
+//!   That checks the CDCL search only. Every layer that produced those
+//!   clauses stays trusted: function elimination, the SD small-model
+//!   ranges, EIJ transitivity generation and the CNF conversion. An
+//!   over-constraining bug in any of them yields a wrong Valid answer
+//!   with a refutation that checks.
 //!
 //! Certification is requested with [`DecideOptions::certify`]
 //! (`crate::DecideOptions::certify`); the verdict-plus-evidence lands in

@@ -814,11 +814,11 @@ mod tests {
         );
         assert_eq!(
             json.get("cnf_clauses").and_then(|v| v.as_u64()),
-            Some(d.stats.cnf_clauses as u64)
+            Some(d.stats.cnf_clauses)
         );
         assert_eq!(
             json.get("conflict_clauses").and_then(|v| v.as_u64()),
-            Some(d.stats.conflict_clauses as u64)
+            Some(d.stats.conflict_clauses)
         );
         assert_eq!(
             json.get("translate_us").and_then(|v| v.as_u64()),
@@ -850,8 +850,10 @@ mod tests {
 
     #[test]
     fn stats_to_json_null_for_non_finite_fraction() {
-        let mut stats = DecideStats::default();
-        stats.p_fun_fraction = f64::NAN;
+        let stats = DecideStats {
+            p_fun_fraction: f64::NAN,
+            ..DecideStats::default()
+        };
         let json = sufsat_obs::json::parse(&stats.to_json()).expect("valid JSON");
         assert!(matches!(
             json.get("p_fun_fraction"),
@@ -861,22 +863,26 @@ mod tests {
 
     #[test]
     fn absorb_sums_additive_and_maxes_structural() {
-        let mut a = DecideStats::default();
-        a.cnf_clauses = 10;
-        a.conflict_clauses = 3;
-        a.decisions = 7;
-        a.dag_size = 40;
-        a.classes = 2;
-        a.max_class_range = 5;
-        a.translate_time = Duration::from_micros(100);
-        let mut b = DecideStats::default();
-        b.cnf_clauses = 5;
-        b.conflict_clauses = 4;
-        b.decisions = 1;
-        b.dag_size = 60;
-        b.classes = 1;
-        b.max_class_range = 9;
-        b.translate_time = Duration::from_micros(50);
+        let mut a = DecideStats {
+            cnf_clauses: 10,
+            conflict_clauses: 3,
+            decisions: 7,
+            dag_size: 40,
+            classes: 2,
+            max_class_range: 5,
+            translate_time: Duration::from_micros(100),
+            ..DecideStats::default()
+        };
+        let b = DecideStats {
+            cnf_clauses: 5,
+            conflict_clauses: 4,
+            decisions: 1,
+            dag_size: 60,
+            classes: 1,
+            max_class_range: 9,
+            translate_time: Duration::from_micros(50),
+            ..DecideStats::default()
+        };
         a.absorb(&b);
         assert_eq!(a.cnf_clauses, 15);
         assert_eq!(a.conflict_clauses, 7);

@@ -5,6 +5,8 @@
 //! time and wants each `check()` to encode only what is new, keeping the
 //! circuit, the predicate-variable tables and the per-constant bit-vectors
 //! of earlier checks alive so the SAT solver can keep its learnt clauses.
+//! Both lower terms through the same shared lowering (`lower.rs`); this
+//! encoder keeps one alive and adds only what sessions need on top of it.
 //!
 //! [`IncrementalEncoder`] makes that sound by *committing* encoding
 //! decisions the first time they are taken and refusing to change them
@@ -35,15 +37,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sufsat_seplog::{AtomOp, GroundTerm, PredKey, SepAnalysis};
-use sufsat_suf::{BoolSym, Sort, Term, TermId, TermManager, VarSym};
+use sufsat_seplog::SepAnalysis;
+use sufsat_suf::{TermId, TermManager, VarSym};
 
 use crate::circuit::{Circuit, Signal};
-use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions, EncodingMode};
-use crate::trans::{
-    clause_key, generate_equality_transitivity, generate_transitivity, BoundTable, EqTable,
-    TransBudgetExceeded,
-};
+use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions};
+use crate::lower::{bits_for, eq_only, Lowering};
+use crate::trans::{clause_key, TransBudgetExceeded};
 
 /// Extra genuine bits given to every SD domain beyond its creating class's
 /// small-model requirement, so classes can grow (via later assertions)
@@ -90,21 +90,6 @@ impl std::fmt::Display for ReencodeReason {
     }
 }
 
-/// One committed encoding domain: a set of `V_g` constants sharing a
-/// method and (for SD) sizing parameters.
-#[derive(Debug, Clone)]
-struct Domain {
-    method: ClassMethod,
-    /// Equality-only predicate representation (EIJ domains).
-    eq_only: bool,
-    /// Genuine input bits per constant (SD domains).
-    var_bits: usize,
-    /// Full arithmetic width (SD domains).
-    width: usize,
-    /// First value of the `V_p` band, pre-shift (SD domains).
-    p_base: u64,
-}
-
 /// What one [`IncrementalEncoder::extend`] call produced.
 #[derive(Debug, Clone)]
 pub struct Delta {
@@ -148,10 +133,8 @@ pub struct DeltaStats {
 /// Monotone encoder state shared by every check of an incremental session.
 #[derive(Debug, Default)]
 pub struct IncrementalEncoder {
-    circuit: Circuit,
-    table: BoundTable,
-    eq_table: EqTable,
-    domains: Vec<Domain>,
+    /// Circuit, predicate tables, domains and per-term caches.
+    low: Lowering,
     /// Committed domain of each `V_g` constant.
     var_domain: HashMap<VarSym, usize>,
     /// Committed p/g classification of every constant ever encoded.
@@ -160,19 +143,6 @@ pub struct IncrementalEncoder {
     off_cap: Option<i64>,
     /// Committed `V_p` lane capacity; fixed at the first extension.
     p_lane_cap: usize,
-    /// Committed `V_p` lane of each p-classified constant (grow-only).
-    p_index: HashMap<VarSym, usize>,
-    /// Cached signal per Boolean term.
-    bool_sig: HashMap<TermId, Signal>,
-    bool_inputs: HashMap<BoolSym, Signal>,
-    /// Genuine (unextended) bits per SD-encoded constant.
-    sd_var_bits: HashMap<VarSym, Vec<Signal>>,
-    /// Encoded bit-vectors per (term, domain) context.
-    sd_term_bits: HashMap<(TermId, usize), Vec<Signal>>,
-    /// EIJ path enumerations per integer term.
-    paths: HashMap<TermId, Vec<(Signal, GroundTerm)>>,
-    /// Input indices of SD bits for decoding.
-    sd_bit_inputs: HashMap<VarSym, Vec<u32>>,
     /// Transitivity clauses already handed out (sorted-signal keys).
     trans_seen: HashSet<Vec<Signal>>,
     trans_emitted: usize,
@@ -186,13 +156,13 @@ impl IncrementalEncoder {
 
     /// The shared circuit (for CNF loading and model decoding).
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        &self.low.circuit
     }
 
     /// Whether the cached signal of `root` exists (it was encoded by an
     /// earlier extension and can be re-guarded without new gates).
     pub fn cached_root(&self, root: TermId) -> Option<Signal> {
-        self.bool_sig.get(&root).copied()
+        self.low.bool_sig.get(&root).copied()
     }
 
     /// Checks whether the live conjunction described by `analysis` can be
@@ -228,7 +198,7 @@ impl IncrementalEncoder {
                 None => p_new += 1,
             }
         }
-        if self.p_index.len() + p_new > self.p_lane_cap {
+        if self.low.p_index.len() + p_new > self.p_lane_cap {
             return Err(ReencodeReason::PLaneOverflow);
         }
         for class in &analysis.classes {
@@ -246,7 +216,7 @@ impl IncrementalEncoder {
             let Some(d) = domain else {
                 continue; // all-new class: a fresh domain will host it
             };
-            let dom = &self.domains[d];
+            let dom = &self.low.domains[d];
             match dom.method {
                 ClassMethod::Sd => {
                     if class.range > 1u64 << dom.var_bits {
@@ -254,9 +224,7 @@ impl IncrementalEncoder {
                     }
                 }
                 ClassMethod::Eij => {
-                    if dom.eq_only
-                        && !class.predicates.iter().all(|p| matches!(p, PredKey::Eq(..)))
-                    {
+                    if dom.eq_only && !eq_only(class) {
                         return Err(ReencodeReason::EqOnlyLost);
                     }
                 }
@@ -288,37 +256,32 @@ impl IncrementalEncoder {
         roots: &[TermId],
         options: &EncodeOptions,
     ) -> Result<Delta, TransBudgetExceeded> {
-        let gates_before = self.circuit.num_gates();
+        let gates_before = self.low.circuit.num_gates();
         let obs_span = sufsat_obs::span_with!(
             "encode.extend",
             roots = roots.len(),
             classes = analysis.classes.len(),
-            committed_domains = self.domains.len(),
+            committed_domains = self.low.domains.len(),
         );
 
         // First extension commits the globals: the offset cap (with
-        // headroom) and the V_p lane capacity.
-        if self.off_cap.is_none() {
-            self.off_cap = Some(4 * analysis.max_abs_offset + 8);
+        // headroom), which fixes the shift and the V_p spacing, and the
+        // V_p lane capacity.
+        let off_cap = *self.off_cap.get_or_insert_with(|| {
+            let off_cap = 4 * analysis.max_abs_offset + 8;
             self.p_lane_cap = 2 * analysis.p_vars.len() + 8;
-        }
-        let off_cap = self.off_cap.expect("committed above");
-        let shift = off_cap as u64;
-        let stride = (2 * off_cap + 1) as u64;
+            self.low.shift = off_cap as u64;
+            self.low.stride = (2 * off_cap + 1) as u64;
+            off_cap
+        });
 
-        // Commit p/g classifications and V_p lanes (sorted for
-        // deterministic lane assignment).
-        let mut p_fresh: Vec<VarSym> = analysis
-            .p_vars
-            .iter()
-            .copied()
-            .filter(|v| !self.p_index.contains_key(v))
-            .collect();
-        p_fresh.sort_unstable();
-        for v in p_fresh {
-            let lane = self.p_index.len();
-            assert!(lane < self.p_lane_cap, "V_p lane overflow not caught");
-            self.p_index.insert(v, lane);
+        // Commit p/g classifications and V_p lanes.
+        self.low.add_p_lanes(&analysis.p_vars);
+        assert!(
+            self.low.p_index.len() <= self.p_lane_cap,
+            "V_p lane overflow not caught"
+        );
+        for &v in &analysis.p_vars {
             self.committed_pg.insert(v, true);
         }
 
@@ -337,51 +300,13 @@ impl IncrementalEncoder {
                     domain = Some(d);
                 }
             }
-            let d = match domain {
-                Some(d) => d,
-                None => {
-                    let method = match options.mode {
-                        EncodingMode::Sd => ClassMethod::Sd,
-                        EncodingMode::Eij => ClassMethod::Eij,
-                        EncodingMode::Hybrid(threshold) => {
-                            if class.sep_cnt > threshold {
-                                ClassMethod::Sd
-                            } else {
-                                ClassMethod::Eij
-                            }
-                        }
-                        EncodingMode::FixedHybrid => {
-                            let pure_eq = class
-                                .predicates
-                                .iter()
-                                .all(|p| matches!(p, PredKey::Eq(_, _, 0)));
-                            if pure_eq {
-                                ClassMethod::Eij
-                            } else {
-                                ClassMethod::Sd
-                            }
-                        }
-                    };
-                    let eq_only = class
-                        .predicates
-                        .iter()
-                        .all(|p| matches!(p, PredKey::Eq(..)));
-                    let var_bits = bits_for(class.range.max(1)) + VAR_BITS_HEADROOM;
-                    let g_max = (1u64 << var_bits) - 1 + shift + off_cap as u64;
-                    let p_base = g_max + 1;
-                    let max_value =
-                        p_base + (self.p_lane_cap as u64 + 2) * stride + shift + stride;
-                    self.domains.push(Domain {
-                        method,
-                        eq_only,
-                        var_bits,
-                        width: bits_for(max_value + 1),
-                        p_base,
-                    });
-                    new_domains += 1;
-                    self.domains.len() - 1
-                }
-            };
+            let d = domain.unwrap_or_else(|| {
+                new_domains += 1;
+                let var_bits = bits_for(class.range.max(1)) + VAR_BITS_HEADROOM;
+                let lanes = self.p_lane_cap as u64 + 2;
+                self.low
+                    .add_domain(class, options.mode, var_bits, off_cap as u64, lanes)
+            });
             for &v in &class.vars {
                 self.var_domain.insert(v, d);
                 self.committed_pg.insert(v, false);
@@ -389,16 +314,12 @@ impl IncrementalEncoder {
             class_domain.push(d);
         }
 
-        // Encode the new roots against the shared caches.
-        let mut ctx = ExtCtx {
-            enc: &mut *self,
-            tm,
-            analysis,
-            class_domain: &class_domain,
-            shift,
-            stride,
-        };
-        let root_sigs: Vec<Signal> = roots.iter().map(|&r| ctx.encode_root(r)).collect();
+        // Encode the new roots; cached terms short-circuit whole cones,
+        // which is where incremental reuse happens.
+        let root_sigs: Vec<Signal> = roots
+            .iter()
+            .map(|&r| self.low.lower(tm, analysis, &class_domain, r))
+            .collect();
 
         // Regenerate transitivity for every live EIJ class and keep only
         // clauses not yet handed out. Regeneration over the *current* full
@@ -407,33 +328,14 @@ impl IncrementalEncoder {
         let mut new_trans: Vec<Vec<Signal>> = Vec::new();
         let mut dedup_trans = 0usize;
         for (cid, class) in analysis.classes.iter().enumerate() {
-            let dom = &self.domains[class_domain[cid]];
-            if dom.method != ClassMethod::Eij {
+            let d = class_domain[cid];
+            if self.low.domains[d].method != ClassMethod::Eij {
                 continue;
             }
             let budget = options
                 .trans_budget
                 .saturating_sub(self.trans_emitted + new_trans.len());
-            let result = if dom.eq_only {
-                generate_equality_transitivity(
-                    &mut self.circuit,
-                    &mut self.eq_table,
-                    &class.vars,
-                    budget,
-                    options.deadline,
-                    options.cancel.as_ref(),
-                )
-            } else {
-                generate_transitivity(
-                    &mut self.circuit,
-                    &mut self.table,
-                    &class.vars,
-                    budget,
-                    options.deadline,
-                    options.cancel.as_ref(),
-                )
-            };
-            let clauses = match result {
+            let clauses = match self.low.transitivity(d, &class.vars, budget, options) {
                 Ok(clauses) => clauses,
                 Err(err) => {
                     sufsat_obs::event!(
@@ -457,21 +359,19 @@ impl IncrementalEncoder {
         self.trans_emitted += new_trans.len();
 
         let decode = self.live_decode_info(analysis, &class_domain, off_cap);
+        let sd_classes = class_domain
+            .iter()
+            .filter(|&&d| self.low.domains[d].method == ClassMethod::Sd)
+            .count();
         let stats = DeltaStats {
-            new_gates: self.circuit.num_gates() - gates_before,
-            total_gates: self.circuit.num_gates(),
+            new_gates: self.low.circuit.num_gates() - gates_before,
+            total_gates: self.low.circuit.num_gates(),
             new_trans: new_trans.len(),
             dedup_trans,
             new_domains,
-            sd_classes: class_domain
-                .iter()
-                .filter(|&&d| self.domains[d].method == ClassMethod::Sd)
-                .count(),
-            eij_classes: class_domain
-                .iter()
-                .filter(|&&d| self.domains[d].method == ClassMethod::Eij)
-                .count(),
-            pred_vars: self.table.len() + self.eq_table.len(),
+            sd_classes,
+            eij_classes: class_domain.len() - sd_classes,
+            pred_vars: self.low.pred_vars(),
         };
         if obs_span.is_recording() {
             sufsat_obs::event!(
@@ -504,368 +404,14 @@ impl IncrementalEncoder {
     ) -> DecodeInfo {
         let mut eij_class_of: HashMap<VarSym, usize> = HashMap::new();
         for (cid, class) in analysis.classes.iter().enumerate() {
-            if self.domains[class_domain[cid]].method == ClassMethod::Eij {
+            if self.low.domains[class_domain[cid]].method == ClassMethod::Eij {
                 for &v in &class.vars {
                     eij_class_of.insert(v, cid);
                 }
             }
         }
-        let same_live_class = |x: VarSym, y: VarSym| {
+        self.low.decode_info(analysis, class_domain, off_cap, |x, y| {
             matches!((eij_class_of.get(&x), eij_class_of.get(&y)), (Some(a), Some(b)) if a == b)
-        };
-        let mut p_sorted: Vec<VarSym> = analysis.p_vars.iter().copied().collect();
-        p_sorted.sort_unstable();
-        DecodeInfo {
-            sd_bits: self.sd_bit_inputs.clone(),
-            eij_bounds: self
-                .table
-                .iter_original()
-                .filter(|&(x, y, _, _)| same_live_class(x, y))
-                .map(|(x, y, c, s)| {
-                    let input = self
-                        .circuit
-                        .input_index(s)
-                        .expect("canonical bounds are plain inputs");
-                    (x, y, c, input)
-                })
-                .collect(),
-            eij_eqs: self
-                .eq_table
-                .iter_original()
-                .filter(|&(x, y, _, _)| same_live_class(x, y))
-                .map(|(x, y, c, s)| {
-                    let input = self
-                        .circuit
-                        .input_index(s)
-                        .expect("canonical equalities are plain inputs");
-                    (x, y, c, input)
-                })
-                .collect(),
-            bool_inputs: self
-                .bool_inputs
-                .iter()
-                .map(|(&b, &s)| {
-                    let input = self
-                        .circuit
-                        .input_index(s)
-                        .expect("bool constants are plain inputs");
-                    (b, input)
-                })
-                .collect(),
-            p_vars: p_sorted,
-            class_vars: analysis.classes.iter().map(|c| c.vars.clone()).collect(),
-            class_methods: class_domain
-                .iter()
-                .map(|&d| self.domains[d].method)
-                .collect(),
-            max_abs_offset: off_cap,
-        }
+        })
     }
-}
-
-struct ExtCtx<'a> {
-    enc: &'a mut IncrementalEncoder,
-    tm: &'a TermManager,
-    analysis: &'a SepAnalysis,
-    class_domain: &'a [usize],
-    shift: u64,
-    stride: u64,
-}
-
-impl ExtCtx<'_> {
-    /// Encodes (or finds cached) the signal of a Boolean root.
-    fn encode_root(&mut self, root: TermId) -> Signal {
-        // Bottom-up over Boolean nodes; cached nodes short-circuit whole
-        // cones, which is where incremental reuse happens.
-        for id in self.tm.postorder(root) {
-            if self.tm.sort(id) != Sort::Bool || self.enc.bool_sig.contains_key(&id) {
-                continue;
-            }
-            let sig = match self.tm.term(id) {
-                Term::True => Signal::TRUE,
-                Term::False => Signal::FALSE,
-                Term::Not(a) => !self.enc.bool_sig[a],
-                Term::And(a, b) => {
-                    let (x, y) = (self.enc.bool_sig[a], self.enc.bool_sig[b]);
-                    self.enc.circuit.and(x, y)
-                }
-                Term::Or(a, b) => {
-                    let (x, y) = (self.enc.bool_sig[a], self.enc.bool_sig[b]);
-                    self.enc.circuit.or(x, y)
-                }
-                Term::Implies(a, b) => {
-                    let (x, y) = (self.enc.bool_sig[a], self.enc.bool_sig[b]);
-                    self.enc.circuit.implies(x, y)
-                }
-                Term::Iff(a, b) => {
-                    let (x, y) = (self.enc.bool_sig[a], self.enc.bool_sig[b]);
-                    self.enc.circuit.xnor(x, y)
-                }
-                Term::IteBool(c, t, e) => {
-                    let (sc, st, se) = (
-                        self.enc.bool_sig[c],
-                        self.enc.bool_sig[t],
-                        self.enc.bool_sig[e],
-                    );
-                    self.enc.circuit.mux(sc, st, se)
-                }
-                Term::BoolVar(b) => self.bool_var(*b),
-                Term::Eq(a, b) => self.atom(AtomOp::Eq, *a, *b),
-                Term::Lt(a, b) => self.atom(AtomOp::Lt, *a, *b),
-                Term::PApp(..) => panic!("extend requires application-free formulas"),
-                _ => unreachable!("integer node filtered above"),
-            };
-            self.enc.bool_sig.insert(id, sig);
-        }
-        self.enc.bool_sig[&root]
-    }
-
-    fn bool_var(&mut self, b: BoolSym) -> Signal {
-        if let Some(&s) = self.enc.bool_inputs.get(&b) {
-            return s;
-        }
-        let s = self.enc.circuit.input();
-        self.enc.bool_inputs.insert(b, s);
-        s
-    }
-
-    /// The domain hosting an atom: the committed domain of any of its
-    /// `V_g` leaves.
-    fn atom_domain(&self, lhs: TermId, rhs: TermId) -> Option<usize> {
-        for side in [lhs, rhs] {
-            for g in self.analysis.ground.leaves(side) {
-                if let Some(c) = self.analysis.class_of(g.var) {
-                    return Some(self.class_domain[c]);
-                }
-            }
-        }
-        None
-    }
-
-    fn atom(&mut self, op: AtomOp, lhs: TermId, rhs: TermId) -> Signal {
-        match self.atom_domain(lhs, rhs) {
-            // All-V_p atoms are decided structurally via path enumeration.
-            None => self.atom_eij(op, lhs, rhs, false),
-            Some(d) => match self.enc.domains[d].method {
-                ClassMethod::Sd => self.atom_sd(op, lhs, rhs, d),
-                ClassMethod::Eij => self.atom_eij(op, lhs, rhs, self.enc.domains[d].eq_only),
-            },
-        }
-    }
-
-    // ---- SD --------------------------------------------------------------
-
-    fn atom_sd(&mut self, op: AtomOp, lhs: TermId, rhs: TermId, d: usize) -> Signal {
-        let a = self.sd_bits(lhs, d);
-        let b = self.sd_bits(rhs, d);
-        match op {
-            AtomOp::Eq => self.enc.circuit.eq_bits(&a, &b),
-            AtomOp::Lt => self.enc.circuit.lt_bits(&a, &b),
-        }
-    }
-
-    fn sd_bits(&mut self, t: TermId, d: usize) -> Vec<Signal> {
-        if let Some(bits) = self.enc.sd_term_bits.get(&(t, d)) {
-            return bits.clone();
-        }
-        let dom = self.enc.domains[d].clone();
-        let out = match self.tm.term(t).clone() {
-            Term::IntVar(v) => {
-                if let Some(&pi) = self.enc.p_index.get(&v) {
-                    let value = dom.p_base + (pi as u64 + 1) * self.stride + self.shift;
-                    self.enc.circuit.const_bits(value, dom.width)
-                } else {
-                    let genuine = match self.enc.sd_var_bits.get(&v) {
-                        Some(bits) => bits.clone(),
-                        None => {
-                            let bits: Vec<Signal> = (0..dom.var_bits)
-                                .map(|_| self.enc.circuit.input())
-                                .collect();
-                            let idxs: Vec<u32> = bits
-                                .iter()
-                                .map(|&s| {
-                                    self.enc
-                                        .circuit
-                                        .input_index(s)
-                                        .expect("variable bits are inputs")
-                                })
-                                .collect();
-                            self.enc.sd_var_bits.insert(v, bits.clone());
-                            self.enc.sd_bit_inputs.insert(v, idxs);
-                            bits
-                        }
-                    };
-                    let mut bits = genuine;
-                    bits.resize(dom.width, Signal::FALSE);
-                    self.enc.circuit.add_const(&bits, self.shift as i64)
-                }
-            }
-            Term::Succ(a) => {
-                let bits = self.sd_bits(a, d);
-                self.enc.circuit.add_const(&bits, 1)
-            }
-            Term::Pred(a) => {
-                let bits = self.sd_bits(a, d);
-                self.enc.circuit.add_const(&bits, -1)
-            }
-            Term::IteInt(c, th, el) => {
-                let sc = self.enc.bool_sig[&c];
-                let tb = self.sd_bits(th, d);
-                let eb = self.sd_bits(el, d);
-                self.enc.circuit.mux_bits(sc, &tb, &eb)
-            }
-            other => unreachable!("non-integer term in SD context: {other:?}"),
-        };
-        self.enc.sd_term_bits.insert((t, d), out.clone());
-        out
-    }
-
-    // ---- EIJ -------------------------------------------------------------
-
-    fn atom_eij(&mut self, op: AtomOp, lhs: TermId, rhs: TermId, eq_class: bool) -> Signal {
-        let lp = self.eij_paths(lhs);
-        let rp = self.eij_paths(rhs);
-        let mut disjuncts = Vec::with_capacity(lp.len() * rp.len());
-        for &(c1, g1) in lp.iter() {
-            for &(c2, g2) in rp.iter() {
-                let e = self.pred_signal(op, g1, g2, eq_class);
-                if e == Signal::FALSE {
-                    continue;
-                }
-                let cond = self.enc.circuit.and(c1, c2);
-                let term = self.enc.circuit.and(cond, e);
-                disjuncts.push(term);
-            }
-        }
-        self.enc.circuit.or_many(&disjuncts)
-    }
-
-    fn eij_paths(&mut self, t: TermId) -> Vec<(Signal, GroundTerm)> {
-        if let Some(p) = self.enc.paths.get(&t) {
-            return p.clone();
-        }
-        let out: Vec<(Signal, GroundTerm)> = match self.tm.term(t).clone() {
-            Term::IntVar(v) => vec![(Signal::TRUE, GroundTerm { var: v, offset: 0 })],
-            Term::Succ(a) => self
-                .eij_paths(a)
-                .iter()
-                .map(|&(c, g)| {
-                    (
-                        c,
-                        GroundTerm {
-                            var: g.var,
-                            offset: g.offset + 1,
-                        },
-                    )
-                })
-                .collect(),
-            Term::Pred(a) => self
-                .eij_paths(a)
-                .iter()
-                .map(|&(c, g)| {
-                    (
-                        c,
-                        GroundTerm {
-                            var: g.var,
-                            offset: g.offset - 1,
-                        },
-                    )
-                })
-                .collect(),
-            Term::IteInt(c, th, el) => {
-                let sc = self.enc.bool_sig[&c];
-                let tp = self.eij_paths(th);
-                let ep = self.eij_paths(el);
-                let mut merged: HashMap<GroundTerm, Signal> = HashMap::new();
-                for &(pc, g) in tp.iter() {
-                    let cond = self.enc.circuit.and(sc, pc);
-                    merge_path(&mut self.enc.circuit, &mut merged, g, cond);
-                }
-                for &(pc, g) in ep.iter() {
-                    let cond = self.enc.circuit.and(!sc, pc);
-                    merge_path(&mut self.enc.circuit, &mut merged, g, cond);
-                }
-                let mut v: Vec<(Signal, GroundTerm)> =
-                    merged.into_iter().map(|(g, c)| (c, g)).collect();
-                v.sort_by_key(|&(_, g)| g);
-                v
-            }
-            other => unreachable!("non-integer term in EIJ context: {other:?}"),
-        };
-        self.enc.paths.insert(t, out.clone());
-        out
-    }
-
-    /// The predicate signal for `g1 ⋈ g2` — same rules as the one-shot
-    /// encoder (constants for same-variable pairs, `false` for
-    /// `V_p`-involving equalities between distinct constants, canonical
-    /// predicate variables otherwise).
-    fn pred_signal(&mut self, op: AtomOp, g1: GroundTerm, g2: GroundTerm, eq_class: bool) -> Signal {
-        if g1.var == g2.var {
-            let truth = match op {
-                AtomOp::Eq => g1.offset == g2.offset,
-                AtomOp::Lt => g1.offset < g2.offset,
-            };
-            return if truth { Signal::TRUE } else { Signal::FALSE };
-        }
-        let p1 = self.enc.p_index.contains_key(&g1.var);
-        let p2 = self.enc.p_index.contains_key(&g2.var);
-        if p1 || p2 {
-            match op {
-                AtomOp::Eq => return Signal::FALSE,
-                AtomOp::Lt => panic!(
-                    "V_p constant under an inequality contradicts the \
-                     positive-equality classification"
-                ),
-            }
-        }
-        match op {
-            AtomOp::Eq if eq_class => self.enc.eq_table.equality(
-                &mut self.enc.circuit,
-                g1.var,
-                g2.var,
-                g2.offset - g1.offset,
-            ),
-            AtomOp::Eq => {
-                let d = g2.offset - g1.offset;
-                let le1 = self
-                    .enc
-                    .table
-                    .bound(&mut self.enc.circuit, g1.var, g2.var, d);
-                let le2 = self
-                    .enc
-                    .table
-                    .bound(&mut self.enc.circuit, g2.var, g1.var, -d);
-                self.enc.circuit.and(le1, le2)
-            }
-            AtomOp::Lt => self.enc.table.bound(
-                &mut self.enc.circuit,
-                g1.var,
-                g2.var,
-                g2.offset - g1.offset - 1,
-            ),
-        }
-    }
-}
-
-fn merge_path(
-    circuit: &mut Circuit,
-    merged: &mut HashMap<GroundTerm, Signal>,
-    g: GroundTerm,
-    cond: Signal,
-) {
-    match merged.get(&g).copied() {
-        Some(prev) => {
-            let or = circuit.or(prev, cond);
-            merged.insert(g, or);
-        }
-        None => {
-            merged.insert(g, cond);
-        }
-    }
-}
-
-fn bits_for(values: u64) -> usize {
-    // Number of bits to represent values in [0, values).
-    (64 - (values.saturating_sub(1)).leading_zeros() as usize).max(1)
 }

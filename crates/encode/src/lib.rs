@@ -36,6 +36,7 @@ mod cnf;
 mod decode;
 mod encoder;
 mod incremental;
+mod lower;
 mod trans;
 
 pub use circuit::{Circuit, GateNode, Signal};

@@ -170,7 +170,7 @@ pub fn generate(tm: &mut TermManager, rng: &mut Prng, cfg: &GenConfig) -> TermId
     // Root: a small random combination of the most recently built Boolean
     // terms, falling back to a plain atom if the pools collapsed.
     let tail: Vec<TermId> = bools.iter().rev().take(3).copied().collect();
-    let root = match tail.len() {
+    match tail.len() {
         0 => {
             let a = ints[0];
             let b = ints[1 % ints.len()];
@@ -184,8 +184,7 @@ pub fn generate(tm: &mut TermManager, rng: &mut Prng, cfg: &GenConfig) -> TermId
                 tm.mk_implies(tail[1], tail[0])
             }
         }
-    };
-    root
+    }
 }
 
 /// Derives the per-case seed from the campaign seed — SplitMix-style so

@@ -18,7 +18,7 @@ use std::time::Duration;
 use sufsat_core::{
     substitute_state, BmcResult, DecideOptions, Outcome, TransitionSystem,
 };
-use sufsat_suf::{Sort, TermId, TermManager};
+use sufsat_suf::{TermId, TermManager};
 
 use crate::session::Session;
 
@@ -74,20 +74,7 @@ pub fn check_bounded_incremental_report(
     bound: usize,
     options: &DecideOptions,
 ) -> (BmcResult, IncrementalBmcReport) {
-    assert_eq!(
-        system.state.len(),
-        system.next.len(),
-        "state and next must align"
-    );
-    for &s in system.state.iter().chain(&system.inputs) {
-        assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
-    }
-    assert_eq!(tm.sort(system.init), Sort::Bool, "init must be Boolean");
-    assert_eq!(
-        tm.sort(system.property),
-        Sort::Bool,
-        "property must be Boolean"
-    );
+    system.assert_well_formed(tm);
 
     let span = sufsat_obs::span_with!("bmc.incremental", bound = bound);
     let owned = std::mem::replace(tm, TermManager::new());
@@ -134,15 +121,7 @@ pub fn check_bounded_incremental_report(
         if step == bound {
             break;
         }
-        // Advance: s_{k+1} = next(s_k, fresh inputs).
-        let next_state: Vec<TermId> = system
-            .next
-            .iter()
-            .map(|&n| substitute_state(session.term_manager_mut(), n, system, &current, step))
-            .collect();
-        for (s, n) in system.state.iter().zip(next_state) {
-            current.insert(*s, n);
-        }
+        system.advance(session.term_manager_mut(), &mut current, step);
     }
 
     let stats = session.stats();

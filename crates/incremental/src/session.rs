@@ -831,8 +831,10 @@ mod tests {
 
     #[test]
     fn certification_covers_both_directions() {
-        let mut options = DecideOptions::default();
-        options.certify = true;
+        let options = DecideOptions {
+            certify: true,
+            ..DecideOptions::default()
+        };
         let mut session = Session::new(options);
         let tm = session.term_manager_mut();
         let f = tm.declare_fun("f", 1);

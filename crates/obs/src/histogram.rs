@@ -177,11 +177,7 @@ impl HistogramSnapshot {
 
     /// The mean of recorded observations, 0 when empty.
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The value at quantile `q` in `[0, 1]`, reported as the containing

@@ -734,10 +734,12 @@ impl Solver {
         }
         let rate = if beat.window_closed {
             beat.rate
-        } else if now_us > 0 {
-            self.stats.conflicts.saturating_mul(1_000_000) / now_us
         } else {
-            0
+            self.stats
+                .conflicts
+                .saturating_mul(1_000_000)
+                .checked_div(now_us)
+                .unwrap_or(0)
         };
         let snap = ProgressSnapshot {
             conflicts: self.stats.conflicts,
@@ -1211,7 +1213,11 @@ impl Solver {
         let learnts: Vec<ClauseRef> = old_learnts
             .into_iter()
             .filter_map(|c| {
-                (!self.db.is_removed(c)).then(|| self.db.reloc(c, &mut to))
+                if self.db.is_removed(c) {
+                    None
+                } else {
+                    Some(self.db.reloc(c, &mut to))
+                }
             })
             .collect();
         let reclaimed_bytes = (before_words - to.arena_words()) * 4;

@@ -15,13 +15,13 @@ fn pigeonhole(holes: usize) -> Solver {
     let grid: Vec<Vec<Var>> = (0..pigeons)
         .map(|_| (0..holes).map(|_| s.new_var()).collect())
         .collect();
-    for p in 0..pigeons {
-        s.add_clause((0..holes).map(|h| grid[p][h].positive()));
+    for row in &grid {
+        s.add_clause(row.iter().map(|v| v.positive()));
     }
     for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in p1 + 1..pigeons {
-                s.add_clause([grid[p1][h].negative(), grid[p2][h].negative()]);
+        for (p1, row1) in grid.iter().enumerate() {
+            for row2 in &grid[p1 + 1..] {
+                s.add_clause([row1[h].negative(), row2[h].negative()]);
             }
         }
     }

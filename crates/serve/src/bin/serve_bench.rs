@@ -468,7 +468,7 @@ fn main() {
     let warm = warm_hist.snapshot();
     let warm_total = cache_hits + cache_coalesced;
     let hit_rate = if ok > 0 { warm_total as f64 / ok as f64 } else { 0.0 };
-    if config.zipf.is_some() {
+    if let Some(zipf) = config.zipf {
         out.push_str(&format!(
             "  \"cache\": {{\"hits\": {cache_hits}, \"misses\": {cache_misses}, \"coalesced\": {cache_coalesced}, \"hit_rate\": {hit_rate:.4}}},\n"
         ));
@@ -492,7 +492,7 @@ fn main() {
         ));
         out.push_str(&format!(
             "  \"regenerate\": \"cargo run --release -p sufsat-serve --bin serve-bench -- --zipf {} --seed {} --clients {} --workers {} --duration {} --dir {} --out {}\",\n",
-            config.zipf.unwrap(),
+            zipf,
             config.seed,
             config.clients,
             config.workers,

@@ -401,7 +401,7 @@ impl Shared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        entries.sort_by(|a, b| b.latency_us.cmp(&a.latency_us));
+        entries.sort_by_key(|e| std::cmp::Reverse(e.latency_us));
         entries
     }
 
@@ -1157,7 +1157,7 @@ fn handle_payload(
 
 fn deadline_of(shared: &Shared, req: &Request) -> Option<Instant> {
     req.timeout_ms
-        .map(|ms| Duration::from_millis(ms))
+        .map(Duration::from_millis)
         .or(shared.opts.default_deadline)
         .map(|d| Instant::now() + d)
 }

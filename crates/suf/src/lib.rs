@@ -135,7 +135,7 @@ mod prop_tests {
 
     #[test]
     fn print_parse_round_trip() {
-        let mut rng = Prng::seed_from_u64(0x5_0f_0001);
+        let mut rng = Prng::seed_from_u64(0x050f_0001);
         for _case in 0..64 {
             let recipe = random_recipe(&mut rng, 40);
             let mut tm = TermManager::new();
@@ -148,7 +148,7 @@ mod prop_tests {
 
     #[test]
     fn elimination_removes_all_applications() {
-        let mut rng = Prng::seed_from_u64(0x5_0f_0002);
+        let mut rng = Prng::seed_from_u64(0x050f_0002);
         for _case in 0..64 {
             let recipe = random_recipe(&mut rng, 60);
             let mut tm = TermManager::new();
@@ -163,7 +163,7 @@ mod prop_tests {
 
     #[test]
     fn elimination_is_identity_without_applications() {
-        let mut rng = Prng::seed_from_u64(0x5_0f_0003);
+        let mut rng = Prng::seed_from_u64(0x050f_0003);
         for _case in 0..64 {
             let recipe = random_recipe(&mut rng, 60);
             let mut tm = TermManager::new();
@@ -175,7 +175,7 @@ mod prop_tests {
 
     #[test]
     fn eval_is_deterministic() {
-        let mut rng = Prng::seed_from_u64(0x5_0f_0004);
+        let mut rng = Prng::seed_from_u64(0x050f_0004);
         for _case in 0..64 {
             let recipe = random_recipe(&mut rng, 40);
             let seed = rng.next_u64();
@@ -190,7 +190,7 @@ mod prop_tests {
 
     #[test]
     fn soundness_spot_check_on_functional_consistency() {
-        let mut rng = Prng::seed_from_u64(0x5_0f_0005);
+        let mut rng = Prng::seed_from_u64(0x050f_0005);
         for _case in 0..64 {
             let seed = rng.next_u64();
             // ITE-chain elimination of a valid formula stays valid under

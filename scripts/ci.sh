@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify plus smoke runs of the evaluation harness
-# (sequential and with parallel `--jobs` workers), the daemon, the cache and
-# the differential fuzzer. Fully offline; no network, no extra tools beyond
-# cargo.
+# CI entry point: tier-1 verify, a clippy lint gate, plus smoke runs of the
+# evaluation harness (sequential and with parallel `--jobs` workers), the
+# daemon, the cache and the differential fuzzer. Fully offline; no network,
+# no extra tools beyond cargo and its clippy component.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +11,9 @@ cargo build --release --workspace
 
 echo "==> tier-1: tests"
 cargo test -q --workspace
+
+echo "==> lint: clippy over every target, warnings are errors"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> smoke: threshold selection (sequential)"
 ./target/release/paper-eval --timeout 2 threshold
