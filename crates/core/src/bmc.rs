@@ -19,7 +19,8 @@ use crate::decide::{decide, DecideOptions, DecideStats, Outcome, StopReason};
 ///
 /// `next[i]` is the update term of `state[i]`, written over the state
 /// variables and the input variables; inputs are replaced by fresh copies
-/// at every unrolling step.
+/// at every unrolling step, one copy per input shared by every update term
+/// and the property of that step.
 #[derive(Debug, Clone)]
 pub struct TransitionSystem {
     /// Current-state variables (integer-sorted terms, typically `IntVar`s).
@@ -50,22 +51,36 @@ impl TransitionSystem {
         assert_eq!(tm.sort(self.property), Sort::Bool, "property must be Boolean");
     }
 
-    /// Advances `current` from `step` to the next step:
-    /// `s_{k+1} = next(s_k, fresh inputs)`, by [`substitute_state`].
+    /// The substitution that instantiates terms at `step`: each state
+    /// variable to its symbolic value in `current`, and each input to a
+    /// fresh `in<step>!…` copy made here. Every next-state term and the
+    /// step's property go through the one substitution, so they all read
+    /// the same value of each input.
+    pub fn at_step(
+        &self,
+        tm: &mut TermManager,
+        current: &HashMap<TermId, TermId>,
+        step: usize,
+    ) -> HashMap<TermId, TermId> {
+        let mut map = current.clone();
+        for &input in &self.inputs {
+            map.insert(input, tm.fresh_int_var(&format!("in{step}")));
+        }
+        map
+    }
+
+    /// The symbolic state after a step, `s_{k+1} = next(s_k, in_k)`, with
+    /// `at_step` from [`TransitionSystem::at_step`] for step `k`.
     pub fn advance(
         &self,
         tm: &mut TermManager,
-        current: &mut HashMap<TermId, TermId>,
-        step: usize,
-    ) {
-        let next_state: Vec<TermId> = self
-            .next
+        at_step: &HashMap<TermId, TermId>,
+    ) -> HashMap<TermId, TermId> {
+        self.state
             .iter()
-            .map(|&n| substitute_state(tm, n, self, current, step))
-            .collect();
-        for (s, n) in self.state.iter().zip(next_state) {
-            current.insert(*s, n);
-        }
+            .zip(&self.next)
+            .map(|(&s, &n)| (s, substitute(tm, n, at_step)))
+            .collect()
     }
 }
 
@@ -156,7 +171,8 @@ pub fn check_bounded_with_stats(
 
     for step in 0..=bound {
         // Obligation: init(s0) => property(s_step).
-        let prop_now = substitute_state(tm, system.property, system, &current, step);
+        let at_step = system.at_step(tm, &current, step);
+        let prop_now = substitute(tm, system.property, &at_step);
         let obligation = tm.mk_implies(system.init, prop_now);
         let decision = decide(tm, obligation, options);
         total.absorb(&decision.stats);
@@ -172,31 +188,9 @@ pub fn check_bounded_with_stats(
         if step == bound {
             break;
         }
-        system.advance(tm, &mut current, step);
+        current = system.advance(tm, &at_step);
     }
     (BmcResult::Bounded(bound), total)
-}
-
-/// Substitutes the current symbolic state into `term` and freshens the
-/// inputs for `step`.
-///
-/// `current` maps each state variable to its symbolic value at the current
-/// step; inputs are replaced by fresh `in<step>!…` copies. Public so that
-/// alternative unrolling clients (the incremental session's BMC mode)
-/// produce the *same* obligations as [`check_bounded`].
-pub fn substitute_state(
-    tm: &mut TermManager,
-    term: TermId,
-    system: &TransitionSystem,
-    current: &HashMap<TermId, TermId>,
-    step: usize,
-) -> TermId {
-    let mut map: HashMap<TermId, TermId> = current.clone();
-    for &input in &system.inputs {
-        let fresh = tm.fresh_int_var(&format!("in{step}"));
-        map.insert(input, fresh);
-    }
-    substitute(tm, term, &map)
 }
 
 #[cfg(test)]

@@ -11,12 +11,14 @@
 //!   encoder nor the SAT solver.
 //! * **Valid** means the SAT solver refuted `¬F_bool`. With proof logging
 //!   enabled the recorded DRAT proof is replayed through the built-in
-//!   forward RUP checker against the solver's own recorded input clauses.
-//!   That checks the CDCL search only. Every layer that produced those
-//!   clauses stays trusted: function elimination, the SD small-model
-//!   ranges, EIJ transitivity generation and the CNF conversion. An
-//!   over-constraining bug in any of them yields a wrong Valid answer
-//!   with a refutation that checks.
+//!   watched-literal forward RUP checker ([`sufsat_sat::check_refutation`],
+//!   the forward pass of DRAT-trim) against the solver's own recorded input
+//!   clauses. The replay costs the same order of time as the search, so
+//!   every Valid answer can be certified. It checks the CDCL search only.
+//!   Every layer that produced those clauses stays trusted: function
+//!   elimination, the SD small-model ranges, EIJ transitivity generation
+//!   and the CNF conversion. An over-constraining bug in any of them
+//!   yields a wrong Valid answer with a refutation that checks.
 //!
 //! Certification is requested with [`DecideOptions::certify`]
 //! (`crate::DecideOptions::certify`); the verdict-plus-evidence lands in

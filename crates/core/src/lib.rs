@@ -36,9 +36,7 @@ mod certify;
 mod decide;
 mod threshold;
 
-pub use bmc::{
-    check_bounded, check_bounded_with_stats, substitute_state, BmcResult, TransitionSystem,
-};
+pub use bmc::{check_bounded, check_bounded_with_stats, BmcResult, TransitionSystem};
 pub use cache::CacheHandle;
 pub use certify::{
     counterexample_falsifies_original, counterexample_interpretation,

@@ -10,15 +10,14 @@
 //! the solver's learnt clauses carry across depths. The per-depth
 //! verdicts are the same ([`Outcome::Valid`] ⇔ `init ∧ ¬propₖ` unsat ⇔
 //! the obligation is valid), and the obligations themselves are built by
-//! the *same* [`substitute_state`] unroller the from-scratch path uses.
+//! the *same* [`TransitionSystem::at_step`] and
+//! [`TransitionSystem::advance`] unrolling the from-scratch path uses.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use sufsat_core::{
-    substitute_state, BmcResult, DecideOptions, Outcome, TransitionSystem,
-};
-use sufsat_suf::{TermId, TermManager};
+use sufsat_core::{BmcResult, DecideOptions, Outcome, TransitionSystem};
+use sufsat_suf::{substitute, TermId, TermManager};
 
 use crate::session::Session;
 
@@ -89,9 +88,10 @@ pub fn check_bounded_incremental_report(
     for step in 0..=bound {
         // Obligation init(s₀) ⇒ property(s_step), refuted as
         // init ∧ ¬property(s_step) in a scope of its own.
-        let prop_now =
-            substitute_state(session.term_manager_mut(), system.property, system, &current, step);
-        let neg_prop = session.term_manager_mut().mk_not(prop_now);
+        let tm = session.term_manager_mut();
+        let at_step = system.at_step(tm, &current, step);
+        let prop_now = substitute(tm, system.property, &at_step);
+        let neg_prop = tm.mk_not(prop_now);
         session.push();
         session.assert(neg_prop);
         let check = session.check();
@@ -121,7 +121,7 @@ pub fn check_bounded_incremental_report(
         if step == bound {
             break;
         }
-        system.advance(session.term_manager_mut(), &mut current, step);
+        current = system.advance(session.term_manager_mut(), &at_step);
     }
 
     let stats = session.stats();
@@ -238,6 +238,35 @@ mod tests {
         let reference = check_bounded(&mut tm.clone(), &system, 4, &options);
         let incremental = check_bounded_incremental(&mut tm, &system, 4, &options);
         assert!(verdicts_match(&reference, &incremental));
+    }
+
+    #[test]
+    fn registers_reading_one_input_see_one_value_per_step() {
+        // x' = ITE(0 < go, x+1, x), y' = ITE(0 < go, y+1, y) from x = y:
+        // both registers step together, so x = y holds at every depth.
+        let mut tm = TermManager::new();
+        let x = tm.int_var("x");
+        let y = tm.int_var("y");
+        let zero = tm.int_var("zero");
+        let go = tm.int_var("go");
+        let grow = tm.mk_lt(zero, go);
+        let x_inc = tm.mk_succ(x);
+        let y_inc = tm.mk_succ(y);
+        let next_x = tm.mk_ite_int(grow, x_inc, x);
+        let next_y = tm.mk_ite_int(grow, y_inc, y);
+        let equal = tm.mk_eq(x, y);
+        let system = TransitionSystem {
+            state: vec![x, y],
+            next: vec![next_x, next_y],
+            inputs: vec![go],
+            init: equal,
+            property: equal,
+        };
+        let options = DecideOptions::default();
+        let from_scratch = check_bounded(&mut tm.clone(), &system, 4, &options);
+        assert_eq!(from_scratch, BmcResult::Bounded(4));
+        let incremental = check_bounded_incremental(&mut tm, &system, 4, &options);
+        assert_eq!(incremental, BmcResult::Bounded(4));
     }
 
     #[test]

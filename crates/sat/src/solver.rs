@@ -266,13 +266,14 @@ impl Solver {
         &self.input_clauses
     }
 
-    /// Replays the recorded DRAT proof through the built-in forward RUP
-    /// checker against the recorded input clauses.
+    /// Replays the recorded DRAT proof through the built-in watched-literal
+    /// forward RUP checker ([`check_refutation`](crate::check_refutation))
+    /// against the recorded input clauses.
     ///
     /// Returns `None` when proof logging was never enabled, otherwise
     /// whether the proof is a valid refutation of the inputs. Only
-    /// meaningful after an `Unsat` answer; intended for certification at
-    /// test and fuzzing scale.
+    /// meaningful after an `Unsat` answer. A replay takes the same order of
+    /// time as the search that logged the proof.
     pub fn check_proof(&self) -> Option<bool> {
         let proof = self.proof.as_ref()?;
         let _span = sufsat_obs::span_with!(
@@ -401,7 +402,7 @@ impl Solver {
         if clause.len() != before {
             // The stored clause is a simplification of the input; record
             // the derived version so DRAT checking sees it added.
-            self.proof_add(&clause.clone());
+            self.proof_add(&clause);
         }
         if count_original {
             self.stats.original_clauses += 1;
@@ -1060,7 +1061,7 @@ impl Solver {
 
     fn learn(&mut self, learnt: Vec<Lit>, lbd: u32) {
         debug_assert!(!learnt.is_empty());
-        self.proof_add(&learnt.clone());
+        self.proof_add(&learnt);
         let asserting = learnt[0];
         if learnt.len() == 1 {
             self.enqueue(asserting, NO_REASON);

@@ -15,6 +15,12 @@ cargo test -q --workspace
 echo "==> lint: clippy over every target, warnings are errors"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> certify: every definitive answer on all 49 benchmarks x 6 eager modes (release)"
+# Each Valid answer must carry a DRAT refutation that the watched-literal
+# RUP checker accepts; each Invalid one a counterexample that replays.
+SUFSAT_CERTIFY_FULL=1 cargo test -q --release --test cross_procedure \
+    benchmark_answers_carry_checked_certificates
+
 echo "==> smoke: threshold selection (sequential)"
 ./target/release/paper-eval --timeout 2 threshold
 
