@@ -7,7 +7,7 @@
 //! solver. Structural hashing keeps shared subformulas shared, mirroring
 //! the DAG representation the paper measures formula sizes on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A signal: a gate output, possibly inverted. The two constants are
 /// `Signal::TRUE` and `Signal::FALSE`.
@@ -124,6 +124,28 @@ impl Circuit {
             GateNode::Input(i) => Some(i),
             _ => None,
         }
+    }
+
+    /// The input signals in the fan-in cones of `roots`, each once, found
+    /// in time proportional to the cones' size.
+    pub(crate) fn cone_inputs(&self, roots: &[Signal]) -> Vec<Signal> {
+        let mut seen: HashSet<usize> = HashSet::new();
+        let mut stack: Vec<usize> = roots.iter().map(|s| s.gate()).collect();
+        let mut inputs = Vec::new();
+        while let Some(gate) = stack.pop() {
+            if !seen.insert(gate) {
+                continue;
+            }
+            match self.gates[gate] {
+                GateNode::ConstTrue => {}
+                GateNode::Input(_) => inputs.push(Signal::new(gate as u32, false)),
+                GateNode::And(a, b) => {
+                    stack.push(a.gate());
+                    stack.push(b.gate());
+                }
+            }
+        }
+        inputs
     }
 
     /// Creates a fresh primary input.

@@ -204,7 +204,7 @@ pub fn encode(
             continue;
         }
         let budget = options.trans_budget.saturating_sub(trans_clauses.len());
-        let clauses = match low.transitivity(i, &class.vars, budget, options) {
+        let clauses = match low.transitivity(i, &class.vars, None, budget, options) {
             Ok(clauses) => clauses,
             Err(err) => {
                 sufsat_obs::event!(
@@ -251,8 +251,7 @@ pub fn encode(
         );
     }
 
-    let keep_all = |_: VarSym, _: VarSym| true;
-    let decode = low.decode_info(analysis, &class_domain, analysis.max_abs_offset, keep_all);
+    let decode = low.decode_info(analysis, &class_domain, analysis.max_abs_offset, None);
     Ok(Encoded {
         circuit: low.circuit,
         formula,

@@ -25,14 +25,24 @@
 //! When a new assertion cannot be hosted under the committed decisions
 //! (classes straddling two domains, a polarity flip, a range overflow…)
 //! [`IncrementalEncoder::check_compatible`] reports a [`ReencodeReason`]
-//! and the session falls back to rebuilding encoder + solver from scratch
-//! — the sound fallback, never a silent approximation.
+//! and the session re-encodes in place — the sound fallback, never a
+//! silent approximation. [`IncrementalEncoder::reset_commitments`] drops
+//! the commitments and per-term encodings but keeps the circuit, the
+//! predicate tables, the Boolean constants and the transitivity dedup
+//! set, so the caller can keep its solver and CNF loader: every gate,
+//! predicate variable and transitivity clause already loaded means the
+//! same under any commitments.
 //!
-//! Transitivity constraints are regenerated per live EIJ class on every
-//! extension (the generators in [`crate::trans`] are deterministic and
-//! their tables idempotent), and a session-level dedup set ensures each
-//! clause is handed to the caller exactly once. Stale clauses over
-//! predicates of retracted assertions remain loaded: transitivity clauses
+//! Each extension regenerates transitivity, and builds decode metadata,
+//! over the *live cone* only: the atom-level predicates and Boolean
+//! constants that the circuit cones of the requested roots read
+//! ([`crate::lower::Lowering::cone`]). That is the set a one-shot
+//! [`crate::encode`] of the live conjunction would start from, so a
+//! check costs what its live assertions cost, however many predicates
+//! retracted assertions left behind. The generators in [`crate::trans`]
+//! are deterministic and their tables idempotent, and a session-level
+//! dedup set hands each clause to the caller exactly once. Clauses over
+//! predicates of retracted assertions stay loaded: transitivity clauses
 //! are universally valid, so they never affect satisfiability.
 
 use std::collections::{HashMap, HashSet};
@@ -42,7 +52,7 @@ use sufsat_suf::{TermId, TermManager, VarSym};
 
 use crate::circuit::{Circuit, Signal};
 use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions};
-use crate::lower::{bits_for, eq_only, Lowering};
+use crate::lower::{bits_for, eq_only, Lowering, Pred};
 use crate::trans::{clause_key, TransBudgetExceeded};
 
 /// Extra genuine bits given to every SD domain beyond its creating class's
@@ -99,8 +109,8 @@ pub struct Delta {
     /// Transitivity clauses not yet handed out by earlier extends; the
     /// caller must load them (unguarded — they are universally valid).
     pub new_trans: Vec<Vec<Signal>>,
-    /// Decode metadata scoped to the *live* classes of this extension
-    /// (predicates of retracted assertions are filtered out so decoding
+    /// Decode metadata scoped to the live cone of this extension
+    /// (predicates of retracted assertions are left out so decoding
     /// never trips over dead, unconstrained predicate variables).
     pub decode: DecodeInfo,
     /// Statistics of this extension.
@@ -118,7 +128,9 @@ pub struct DeltaStats {
     /// Transitivity clauses newly handed out.
     pub new_trans: usize,
     /// Transitivity clauses regenerated but already handed out earlier
-    /// (the reuse the incremental path exists for).
+    /// (the reuse the incremental path exists for). `new_trans +
+    /// dedup_trans` is what a one-shot encode of the live conjunction
+    /// would generate under the same domains.
     pub dedup_trans: usize,
     /// Domains created by this extension.
     pub new_domains: usize,
@@ -145,7 +157,6 @@ pub struct IncrementalEncoder {
     p_lane_cap: usize,
     /// Transitivity clauses already handed out (sorted-signal keys).
     trans_seen: HashSet<Vec<Signal>>,
-    trans_emitted: usize,
 }
 
 impl IncrementalEncoder {
@@ -163,6 +174,21 @@ impl IncrementalEncoder {
     /// earlier extension and can be re-guarded without new gates).
     pub fn cached_root(&self, root: TermId) -> Option<Signal> {
         self.low.bool_sig.get(&root).copied()
+    }
+
+    /// Drops every commitment (domains, p/g classifications, offset cap,
+    /// `V_p` lanes) and every per-term encoding, so the next
+    /// [`Self::extend`] encodes its roots afresh, as the first extension
+    /// did. The circuit, the predicate tables, the Boolean constants and
+    /// the transitivity dedup set stay: what a caller loaded for them
+    /// remains valid, and a caller keeping its solver must only retire
+    /// the guards of roots encoded before the reset.
+    pub fn reset_commitments(&mut self) {
+        self.low.forget_encodings();
+        self.var_domain.clear();
+        self.committed_pg.clear();
+        self.off_cap = None;
+        self.p_lane_cap = 0;
     }
 
     /// Checks whether the live conjunction described by `analysis` can be
@@ -239,10 +265,11 @@ impl IncrementalEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`TransBudgetExceeded`] when transitivity regeneration
-    /// blows past `options.trans_budget`. The committed state stays
-    /// consistent (tables and circuit are monotone); a later extension
-    /// with a larger budget can pick up where this one stopped.
+    /// Returns [`TransBudgetExceeded`] when transitivity regeneration for
+    /// the live cone blows past `options.trans_budget`. Nothing is handed
+    /// out then, and the committed state stays consistent (tables and
+    /// circuit are monotone); a later extension with a larger budget
+    /// regenerates what this one could not.
     ///
     /// # Panics
     ///
@@ -321,44 +348,59 @@ impl IncrementalEncoder {
             .map(|&r| self.low.lower(tm, analysis, &class_domain, r))
             .collect();
 
-        // Regenerate transitivity for every live EIJ class and keep only
-        // clauses not yet handed out. Regeneration over the *current* full
-        // membership covers every historical predicate among the members,
-        // so each check's clause set is complete for its live classes.
-        let mut new_trans: Vec<Vec<Signal>> = Vec::new();
-        let mut dedup_trans = 0usize;
+        // Regenerate transitivity for every live EIJ class from the
+        // predicates its live roots read, then keep only clauses not yet
+        // handed out. Nothing enters the dedup set before every class is
+        // done, so a budget overrun hands out nothing.
+        let cone = self.low.cone(&root_sigs);
+        let mut class_bounds: Vec<Vec<Pred>> = vec![Vec::new(); analysis.classes.len()];
+        let mut class_eqs: Vec<Vec<Pred>> = vec![Vec::new(); analysis.classes.len()];
+        for (preds, per_class) in [(&cone.bounds, &mut class_bounds), (&cone.eqs, &mut class_eqs)] {
+            for &pred in preds {
+                if let Some(cid) = analysis.class_of(pred.0) {
+                    per_class[cid].push(pred);
+                }
+            }
+        }
+        let mut regenerated: Vec<Vec<Signal>> = Vec::new();
         for (cid, class) in analysis.classes.iter().enumerate() {
             let d = class_domain[cid];
-            if self.low.domains[d].method != ClassMethod::Eij {
+            let dom = self.low.domains[d];
+            let originals = if dom.eq_only { &class_eqs[cid] } else { &class_bounds[cid] };
+            if dom.method != ClassMethod::Eij || originals.is_empty() {
                 continue;
             }
-            let budget = options
-                .trans_budget
-                .saturating_sub(self.trans_emitted + new_trans.len());
-            let clauses = match self.low.transitivity(d, &class.vars, budget, options) {
-                Ok(clauses) => clauses,
+            let budget = options.trans_budget.saturating_sub(regenerated.len());
+            match self
+                .low
+                .transitivity(d, &class.vars, Some(originals), budget, options)
+            {
+                Ok(clauses) => regenerated.extend(clauses),
                 Err(err) => {
                     sufsat_obs::event!(
                         "encode.extend.abort",
                         class = cid,
                         cancelled = err.cancelled,
                         timed_out = err.timed_out,
-                        generated = new_trans.len(),
+                        generated = regenerated.len(),
                     );
                     return Err(err);
                 }
-            };
-            for clause in clauses {
-                if self.trans_seen.insert(clause_key(&clause)) {
-                    new_trans.push(clause);
-                } else {
-                    dedup_trans += 1;
-                }
             }
         }
-        self.trans_emitted += new_trans.len();
+        let mut new_trans: Vec<Vec<Signal>> = Vec::new();
+        let mut dedup_trans = 0usize;
+        for clause in regenerated {
+            if self.trans_seen.insert(clause_key(&clause)) {
+                new_trans.push(clause);
+            } else {
+                dedup_trans += 1;
+            }
+        }
 
-        let decode = self.live_decode_info(analysis, &class_domain, off_cap);
+        let decode = self
+            .low
+            .decode_info(analysis, &class_domain, off_cap, Some(&cone));
         let sd_classes = class_domain
             .iter()
             .filter(|&&d| self.low.domains[d].method == ClassMethod::Sd)
@@ -391,27 +433,65 @@ impl IncrementalEncoder {
             stats,
         })
     }
+}
 
-    /// Decode metadata restricted to the live classes: only canonical
-    /// predicates whose *both* endpoints sit in the same live EIJ class
-    /// are included, so predicates surviving from retracted assertions
-    /// (unconstrained in the current model) cannot poison decoding.
-    fn live_decode_info(
-        &self,
-        analysis: &SepAnalysis,
-        class_domain: &[usize],
-        off_cap: i64,
-    ) -> DecodeInfo {
-        let mut eij_class_of: HashMap<VarSym, usize> = HashMap::new();
-        for (cid, class) in analysis.classes.iter().enumerate() {
-            if self.low.domains[class_domain[cid]].method == ClassMethod::Eij {
-                for &v in &class.vars {
-                    eij_class_of.insert(v, cid);
-                }
-            }
-        }
-        self.low.decode_info(analysis, class_domain, off_cap, |x, y| {
-            matches!((eij_class_of.get(&x), eij_class_of.get(&y)), (Some(a), Some(b)) if a == b)
-        })
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+    use crate::EncodingMode;
+
+    /// `x < y`, `y < z` and `z < x + 2` (one EIJ class) as separate roots.
+    fn cycle(tm: &mut TermManager) -> Vec<TermId> {
+        let x = tm.int_var("x");
+        let y = tm.int_var("y");
+        let z = tm.int_var("z");
+        let x2 = tm.mk_offset(x, 2);
+        vec![tm.mk_lt(x, y), tm.mk_lt(y, z), tm.mk_lt(z, x2)]
+    }
+
+    fn extend(enc: &mut IncrementalEncoder, tm: &mut TermManager, roots: &[TermId]) -> Delta {
+        let conj = tm.mk_and_many(roots);
+        let analysis = SepAnalysis::new(tm, conj, &HashSet::new());
+        let options = EncodeOptions {
+            mode: EncodingMode::Eij,
+            ..EncodeOptions::default()
+        };
+        enc.extend(tm, &analysis, roots, &options).expect("within budget")
+    }
+
+    #[test]
+    fn extending_an_unchanged_live_set_hands_out_no_new_transitivity() {
+        let mut tm = TermManager::new();
+        let roots = cycle(&mut tm);
+        let mut enc = IncrementalEncoder::new();
+        let first = extend(&mut enc, &mut tm, &roots);
+        assert!(first.stats.new_trans > 0, "{:?}", first.stats);
+        assert_eq!(first.stats.dedup_trans, 0);
+        let again = extend(&mut enc, &mut tm, &roots);
+        assert!(again.new_trans.is_empty(), "{:?}", again.new_trans);
+        assert_eq!(again.stats.dedup_trans, first.stats.new_trans);
+        // A reset re-encodes over the kept predicate tables: the same
+        // clauses come back, and none is handed out twice.
+        enc.reset_commitments();
+        let reencoded = extend(&mut enc, &mut tm, &roots);
+        assert!(reencoded.new_trans.is_empty(), "{:?}", reencoded.new_trans);
+        assert_eq!(reencoded.stats.dedup_trans, first.stats.new_trans);
+    }
+
+    #[test]
+    fn retracted_roots_leave_transitivity_to_the_live_cone() {
+        let mut tm = TermManager::new();
+        let roots = cycle(&mut tm);
+        let mut fresh = IncrementalEncoder::new();
+        let alone = extend(&mut fresh, &mut tm, &roots[..2]);
+        let mut enc = IncrementalEncoder::new();
+        let all = extend(&mut enc, &mut tm, &roots);
+        let live = extend(&mut enc, &mut tm, &roots[..2]);
+        let generated = |d: &Delta| d.stats.new_trans + d.stats.dedup_trans;
+        assert!(generated(&all) > generated(&alone), "the third root adds clauses");
+        assert_eq!(generated(&live), generated(&alone));
+        assert_eq!(live.decode.eij_bounds.len(), alone.decode.eij_bounds.len());
     }
 }

@@ -19,7 +19,9 @@
 //! [`Lowering`] owns the circuit, the predicate tables and every per-term
 //! cache. [`crate::encode`] builds a fresh one with one exactly sized
 //! domain per class; [`crate::IncrementalEncoder`] keeps one alive across
-//! checks and decides which domain hosts each class.
+//! checks, decides which domain hosts each class, and reads back through
+//! [`Lowering::cone`] which predicates and Boolean constants its live
+//! roots use.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -30,7 +32,8 @@ use sufsat_suf::{BoolSym, Sort, Term, TermId, TermManager, VarSym};
 use crate::circuit::{Circuit, Signal};
 use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions, EncodingMode};
 use crate::trans::{
-    generate_equality_transitivity, generate_transitivity, BoundTable, EqTable, TransBudgetExceeded,
+    close_bounds, close_equalities, originals_among, BoundTable, ElimOrder, EqTable,
+    TransBudgetExceeded,
 };
 
 /// One encoding domain: the `V_g` constants of one or more classes,
@@ -49,12 +52,43 @@ pub(crate) struct Domain {
     pub(crate) p_base: u64,
 }
 
+/// What an atom-level predicate variable or Boolean constant input
+/// stands for.
+#[derive(Debug, Copy, Clone)]
+enum InputRole {
+    /// The bound `x − y ≤ c` (canonical orientation `x < y`).
+    Bound(VarSym, VarSym, i64),
+    /// The equality `x = y + c` of an equality-only domain (`x < y`).
+    Eq(VarSym, VarSym, i64),
+    /// A Boolean symbolic constant.
+    Bool(BoolSym),
+}
+
+/// An atom-level predicate: `(x, y, c, s)`, the predicate over constants
+/// `x < y` and offset `c` that input signal `s` stands for.
+pub(crate) type Pred = (VarSym, VarSym, i64, Signal);
+
+/// The atom-level predicates and Boolean constants that the circuit cone
+/// of some roots reads (see [`Lowering::cone`]).
+#[derive(Debug, Default)]
+pub(crate) struct Cone {
+    /// Bounds: `s` ⇔ `x − y ≤ c`.
+    pub(crate) bounds: Vec<Pred>,
+    /// Equalities: `s` ⇔ `x = y + c`.
+    pub(crate) eqs: Vec<Pred>,
+    /// Boolean constants and their input indices.
+    pub(crate) bools: Vec<(BoolSym, u32)>,
+}
+
 /// Circuit, predicate tables and per-term caches of one lowering.
 #[derive(Debug, Default)]
 pub(crate) struct Lowering {
     pub(crate) circuit: Circuit,
     table: BoundTable,
     eq_table: EqTable,
+    /// Role of every atom-level predicate variable and Boolean constant,
+    /// by input index.
+    roles: HashMap<u32, InputRole>,
     pub(crate) domains: Vec<Domain>,
     /// Added to every SD value so that negative offsets stay in range.
     pub(crate) shift: u64,
@@ -129,6 +163,39 @@ impl Lowering {
         self.table.len() + self.eq_table.len()
     }
 
+    /// Forgets every domain, `V_p` lane and per-term cache, so the next
+    /// [`Lowering::lower`] encodes its terms afresh under new domains.
+    /// The circuit, the predicate tables and the Boolean constants stay:
+    /// their gates and variables mean the same under any domains.
+    pub(crate) fn forget_encodings(&mut self) {
+        self.domains.clear();
+        self.shift = 0;
+        self.stride = 0;
+        self.p_index.clear();
+        self.bool_sig.clear();
+        self.sd_var_bits.clear();
+        self.sd_term_bits.clear();
+        self.paths.clear();
+        self.sd_bit_inputs.clear();
+    }
+
+    /// The atom-level predicates and Boolean constants read by the circuit
+    /// cone of `roots`: the inputs whose values the roots depend on. Costs
+    /// the size of the cone, however large the circuit has grown.
+    pub(crate) fn cone(&self, roots: &[Signal]) -> Cone {
+        let mut cone = Cone::default();
+        for s in self.circuit.cone_inputs(roots) {
+            let input = self.input_index(s);
+            match self.roles.get(&input) {
+                Some(&InputRole::Bound(x, y, c)) => cone.bounds.push((x, y, c, s)),
+                Some(&InputRole::Eq(x, y, c)) => cone.eqs.push((x, y, c, s)),
+                Some(&InputRole::Bool(b)) => cone.bools.push((b, input)),
+                None => {} // SD bits
+            }
+        }
+        cone
+    }
+
     /// Lowers the Boolean term `root`; class `c` of `analysis` is hosted
     /// by domain `class_domain[c]`. Cached terms are not lowered again.
     pub(crate) fn lower(
@@ -187,7 +254,9 @@ impl Lowering {
         self.bool_sig[&root]
     }
 
-    /// Transitivity constraints over `vars`, members of domain `d`.
+    /// Transitivity constraints over `vars`, members of domain `d`, from
+    /// the atom-level predicates `originals` among them, or from every
+    /// such predicate ever allocated when `originals` is `None`.
     ///
     /// # Errors
     ///
@@ -197,65 +266,77 @@ impl Lowering {
         &mut self,
         d: usize,
         vars: &[VarSym],
+        originals: Option<&[Pred]>,
         budget: usize,
         options: &EncodeOptions,
     ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
+        let (deadline, cancel) = (options.deadline, options.cancel.as_ref());
+        let order = ElimOrder::MinDegree;
+        let all;
         if self.domains[d].eq_only {
-            generate_equality_transitivity(
-                &mut self.circuit,
-                &mut self.eq_table,
-                vars,
-                budget,
-                options.deadline,
-                options.cancel.as_ref(),
-            )
+            let originals = match originals {
+                Some(originals) => originals,
+                None => {
+                    all = originals_among(self.eq_table.iter_original(), vars);
+                    &all
+                }
+            };
+            let (circuit, table) = (&mut self.circuit, &mut self.eq_table);
+            close_equalities(circuit, table, vars, originals, budget, deadline, cancel, order)
         } else {
-            generate_transitivity(
-                &mut self.circuit,
-                &mut self.table,
-                vars,
-                budget,
-                options.deadline,
-                options.cancel.as_ref(),
-            )
+            let originals = match originals {
+                Some(originals) => originals,
+                None => {
+                    all = originals_among(self.table.iter_original(), vars);
+                    &all
+                }
+            };
+            let (circuit, table) = (&mut self.circuit, &mut self.table);
+            close_bounds(circuit, table, vars, originals, budget, deadline, cancel, order)
         }
     }
 
-    /// Decode metadata for the classes of `analysis`, keeping the
-    /// canonical predicates between the constants that `keep` accepts.
+    /// Decode metadata for the classes of `analysis`: over every
+    /// predicate, Boolean constant and SD constant lowered so far when
+    /// `cone` is `None`, otherwise over those `cone` reads and the SD
+    /// constants of the classes.
     pub(crate) fn decode_info(
         &self,
         analysis: &SepAnalysis,
         class_domain: &[usize],
         max_abs_offset: i64,
-        keep: impl Fn(VarSym, VarSym) -> bool,
+        cone: Option<&Cone>,
     ) -> DecodeInfo {
-        let input = |s: Signal| {
-            self.circuit
-                .input_index(s)
-                .expect("canonical predicates and Boolean constants are plain inputs")
-        };
+        let input = |&(x, y, c, s): &Pred| (x, y, c, self.input_index(s));
         let mut p_vars: Vec<VarSym> = analysis.p_vars.iter().copied().collect();
         p_vars.sort_unstable();
+        let (sd_bits, eij_bounds, eij_eqs, bool_inputs) = match cone {
+            None => (
+                self.sd_bit_inputs.clone(),
+                self.table.iter_original().map(|p| input(&p)).collect(),
+                self.eq_table.iter_original().map(|p| input(&p)).collect(),
+                self.bool_inputs
+                    .iter()
+                    .map(|(&b, &s)| (b, self.input_index(s)))
+                    .collect(),
+            ),
+            Some(cone) => (
+                analysis
+                    .classes
+                    .iter()
+                    .flat_map(|class| &class.vars)
+                    .filter_map(|v| Some((*v, self.sd_bit_inputs.get(v)?.clone())))
+                    .collect(),
+                cone.bounds.iter().map(input).collect(),
+                cone.eqs.iter().map(input).collect(),
+                cone.bools.iter().copied().collect(),
+            ),
+        };
         DecodeInfo {
-            sd_bits: self.sd_bit_inputs.clone(),
-            eij_bounds: self
-                .table
-                .iter_original()
-                .filter(|&(x, y, _, _)| keep(x, y))
-                .map(|(x, y, c, s)| (x, y, c, input(s)))
-                .collect(),
-            eij_eqs: self
-                .eq_table
-                .iter_original()
-                .filter(|&(x, y, _, _)| keep(x, y))
-                .map(|(x, y, c, s)| (x, y, c, input(s)))
-                .collect(),
-            bool_inputs: self
-                .bool_inputs
-                .iter()
-                .map(|(&b, &s)| (b, input(s)))
-                .collect(),
+            sd_bits,
+            eij_bounds,
+            eij_eqs,
+            bool_inputs,
             p_vars,
             class_vars: analysis.classes.iter().map(|c| c.vars.clone()).collect(),
             class_methods: class_domain
@@ -272,6 +353,37 @@ impl Lowering {
         }
         let s = self.circuit.input();
         self.bool_inputs.insert(b, s);
+        self.roles.insert(self.input_index(s), InputRole::Bool(b));
+        s
+    }
+
+    fn input_index(&self, s: Signal) -> u32 {
+        self.circuit
+            .input_index(s)
+            .expect("canonical predicates and Boolean constants are plain inputs")
+    }
+
+    /// The signal of the atom-level bound `x − y ≤ c`, noting its role.
+    fn bound(&mut self, x: VarSym, y: VarSym, c: i64) -> Signal {
+        let s = self.table.bound(&mut self.circuit, x, y, c);
+        let (role, input) = if x < y {
+            (InputRole::Bound(x, y, c), s)
+        } else {
+            (InputRole::Bound(y, x, -c - 1), !s)
+        };
+        self.roles.insert(self.input_index(input), role);
+        s
+    }
+
+    /// The signal of the atom-level equality `x = y + c`, noting its role.
+    fn equality(&mut self, x: VarSym, y: VarSym, c: i64) -> Signal {
+        let s = self.eq_table.equality(&mut self.circuit, x, y, c);
+        let role = if x < y {
+            InputRole::Eq(x, y, c)
+        } else {
+            InputRole::Eq(y, x, -c)
+        };
+        self.roles.insert(self.input_index(s), role);
         s
     }
 
@@ -473,21 +585,19 @@ impl Lowering {
             AtomOp::Eq if eq_class => {
                 // Equality-only class: one variable per equality
                 // (Bryant–Velev), x = y + (k2 - k1).
-                self.eq_table
-                    .equality(&mut self.circuit, g1.var, g2.var, g2.offset - g1.offset)
+                self.equality(g1.var, g2.var, g2.offset - g1.offset)
             }
             AtomOp::Eq => {
                 // g1 = g2  <=>  (g1 - g2 <= d) & (g2 - g1 <= -d) for
                 // d = offset difference.
                 let d = g2.offset - g1.offset;
-                let le1 = self.table.bound(&mut self.circuit, g1.var, g2.var, d);
-                let le2 = self.table.bound(&mut self.circuit, g2.var, g1.var, -d);
+                let le1 = self.bound(g1.var, g2.var, d);
+                let le2 = self.bound(g2.var, g1.var, -d);
                 self.circuit.and(le1, le2)
             }
             AtomOp::Lt => {
                 // g1 < g2  <=>  g1.var - g2.var <= g2.k - g1.k - 1.
-                self.table
-                    .bound(&mut self.circuit, g1.var, g2.var, g2.offset - g1.offset - 1)
+                self.bound(g1.var, g2.var, g2.offset - g1.offset - 1)
             }
         }
     }

@@ -292,6 +292,43 @@ pub fn generate_equality_transitivity_ordered(
     cancel: Option<&CancelToken>,
     order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
+    let originals = originals_among(table.iter_original(), class_vars);
+    close_equalities(
+        circuit, table, class_vars, &originals, budget, deadline, cancel, order,
+    )
+}
+
+/// The atom-level predicates of `originals` whose both constants are among
+/// `class_vars`.
+pub(crate) fn originals_among(
+    originals: impl Iterator<Item = (VarSym, VarSym, i64, Signal)>,
+    class_vars: &[VarSym],
+) -> Vec<(VarSym, VarSym, i64, Signal)> {
+    let members: HashSet<VarSym> = class_vars.iter().copied().collect();
+    originals
+        .filter(|&(x, y, _, _)| members.contains(&x) && members.contains(&y))
+        .collect()
+}
+
+/// Equality transitivity for the class `class_vars` over exactly the
+/// atom-level equalities `originals` (`(x, y, c, s)`: `s` ⇔ `x = y + c`),
+/// which must all be members of `table`.
+///
+/// # Errors
+///
+/// Returns [`TransBudgetExceeded`] past `budget` clauses, the deadline or a
+/// raised cancel token.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn close_equalities(
+    circuit: &mut Circuit,
+    table: &mut EqTable,
+    class_vars: &[VarSym],
+    originals: &[(VarSym, VarSym, i64, Signal)],
+    budget: usize,
+    deadline: Option<Instant>,
+    cancel: Option<&CancelToken>,
+    order: ElimOrder,
+) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
     let members: HashSet<VarSym> = class_vars.iter().copied().collect();
     let mut clauses: Vec<Vec<Signal>> = Vec::new();
     let mut seen_clauses: HashSet<Vec<Signal>> = HashSet::new();
@@ -305,11 +342,7 @@ pub fn generate_equality_transitivity_ordered(
             }
         };
     // Original equalities contribute both orientations (same literal).
-    let initial: Vec<(VarSym, VarSym, i64, Signal)> = table
-        .iter_original()
-        .filter(|&(x, y, _, _)| members.contains(&x) && members.contains(&y))
-        .collect();
-    for (x, y, c, s) in initial {
+    for &(x, y, c, s) in originals {
         add_edge(
             Edge {
                 u: x,
@@ -494,6 +527,31 @@ pub fn generate_transitivity_ordered(
     cancel: Option<&CancelToken>,
     order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
+    let originals = originals_among(table.iter_original(), class_vars);
+    close_bounds(
+        circuit, table, class_vars, &originals, budget, deadline, cancel, order,
+    )
+}
+
+/// Bound transitivity for the class `class_vars` over exactly the
+/// atom-level bounds `originals` (`(x, y, c, s)`: `s` ⇔ `x − y ≤ c`), which
+/// must all be members of `table`.
+///
+/// # Errors
+///
+/// Returns [`TransBudgetExceeded`] past `budget` clauses, the deadline or a
+/// raised cancel token.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn close_bounds(
+    circuit: &mut Circuit,
+    table: &mut BoundTable,
+    class_vars: &[VarSym],
+    originals: &[(VarSym, VarSym, i64, Signal)],
+    budget: usize,
+    deadline: Option<Instant>,
+    cancel: Option<&CancelToken>,
+    order: ElimOrder,
+) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
     let members: HashSet<VarSym> = class_vars.iter().copied().collect();
     let mut clauses: Vec<Vec<Signal>> = Vec::new();
     let mut seen_clauses: HashSet<Vec<Signal>> = HashSet::new();
@@ -513,11 +571,7 @@ pub fn generate_transitivity_ordered(
     // below are one-sided (`e₁ ∧ e₂ ⇒ e₃` only), which keeps the derived
     // constants bounded by path sums — in particular polynomial for
     // equality-only classes, matching Bryant–Velev.
-    let initial: Vec<(VarSym, VarSym, i64, Signal)> = table
-        .iter_original()
-        .filter(|&(x, y, _, _)| members.contains(&x) && members.contains(&y))
-        .collect();
-    for (x, y, c, s) in initial {
+    for &(x, y, c, s) in originals {
         add_edge(
             Edge {
                 u: x,

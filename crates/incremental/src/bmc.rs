@@ -27,14 +27,14 @@ use crate::session::Session;
 pub struct IncrementalBmcReport {
     /// Depth checks performed (≤ bound + 1).
     pub checks: u64,
-    /// Total SAT conflicts across all depths, including any solvers
-    /// discarded by re-encoding fallbacks.
+    /// Total SAT conflicts across all depths, from the session's one
+    /// solver.
     pub conflicts: u64,
     /// Total SAT decisions across all depths.
     pub decisions: u64,
     /// Total SAT propagations across all depths.
     pub propagations: u64,
-    /// Re-encoding fallbacks taken.
+    /// In-place re-encodes taken.
     pub reencodes: u64,
     /// Assertion encodings reused from earlier depths.
     pub reused_roots: u64,
@@ -44,7 +44,7 @@ pub struct IncrementalBmcReport {
     pub translate_time: Duration,
     /// Total SAT time.
     pub sat_time: Duration,
-    /// CNF clauses in the persistent solver after the last depth.
+    /// Every clause the session's solver loaded, up to the last depth.
     pub cnf_clauses: u64,
 }
 

@@ -14,17 +14,20 @@
 //!   once and stay functionally consistent across assertions;
 //! * one [`sufsat_encode::IncrementalEncoder`] that encodes only terms and
 //!   atoms not seen before, extending committed small domains and
-//!   transitivity tables monotonically — with a sound fallback to full
-//!   re-encoding when a new assertion cannot be hosted under the committed
-//!   decisions;
-//! * one persistent [`sufsat_sat::Solver`], with assertion scoping via
-//!   activation literals over `solve_with_assumptions`, so conflict
-//!   clauses survive [`Session::push`]/[`Session::pop`].
+//!   transitivity tables monotonically — with a sound fallback to
+//!   re-encoding the live assertions in place when a new assertion cannot
+//!   be hosted under the committed decisions;
+//! * one [`sufsat_sat::Solver`] for the session's whole life, with
+//!   assertion scoping via activation literals over
+//!   `solve_with_assumptions`, so conflict clauses survive
+//!   [`Session::push`]/[`Session::pop`] and re-encodes.
 //!
-//! [`Session::check`] answers with the same [`Outcome`]/[`Certificate`]
-//! surface as [`sufsat_core::decide`], plus an unsat core of
-//! [`AssertionId`]s extracted (and optionally minimized) from the solver's
-//! failed assumptions.
+//! A check costs what its live assertions cost: transitivity and decode
+//! metadata cover only their circuit cone, whatever retracted assertions
+//! left behind. [`Session::check`] answers with the same
+//! [`Outcome`]/[`Certificate`] surface as [`sufsat_core::decide`], plus an
+//! unsat core of [`AssertionId`]s taken from the solver's failed
+//! assumptions, which [`Session::minimize_core`] shrinks on request.
 //!
 //! The [`bmc`] module rewires bounded model checking on top of a session:
 //! one solver across all depths, each depth's obligation pushed under an

@@ -12,10 +12,27 @@
 //! Scoping is implemented with activation literals: each live assertion's
 //! encoded top literal is guarded by one fresh solver variable asserted
 //! only as a `solve_with_assumptions` assumption. [`Session::pop`] retires
-//! the scope's activation literals with level-0 units and simplifies, so
-//! the guarded clauses leave the clause database while every learnt
-//! clause (which can only resolve on *unguarded* consequences plus `¬act`
-//! literals, all still valid) survives for later checks.
+//! the scope's activation literals with level-0 units; the solver drops
+//! the clauses those units satisfy in its amortized top-level clean-up,
+//! while every learnt clause (which can only resolve on *unguarded*
+//! consequences plus `¬act` literals, all still valid) survives for later
+//! checks.
+//!
+//! The session keeps one solver for its whole life. When the live
+//! conjunction no longer fits the encoder's commitments, the check
+//! re-encodes in place: it retires every live activation literal with a
+//! unit, resets the encoder's commitments and per-term encodings, and
+//! guards each live assertion afresh, keeping the solver, its learnt
+//! clauses, the CNF loader and the shared circuit (see
+//! [`IncrementalEncoder::reset_commitments`]).
+//!
+//! What a check costs follows its live assertions, not the session's
+//! history: transitivity and decode metadata cover only the live cone,
+//! [`Session::pop`] scans no clauses, the unsat core is the solver's raw
+//! failed-assumption set (minimized only on request, by
+//! [`Session::minimize_core`]), and no polarity pass runs over the
+//! original assertions — [`DecideStats::p_fun_fraction`] is `NaN` on
+//! session checks.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -49,20 +66,20 @@ struct Assertion {
     id: AssertionId,
     original: TermId,
     eliminated: TermId,
-    /// Activation literal guarding the encoded assertion, valid for
-    /// `generation` only (re-encoding rebuilds the solver).
+    /// Activation literal guarding the encoded assertion; `None` until a
+    /// check guards it, and again after a re-encode retires it.
     act: Option<Lit>,
-    generation: u64,
 }
 
-/// Session-lifetime counters (cumulative across checks, including work in
-/// solvers discarded by re-encoding fallbacks).
+/// Session-lifetime counters, cumulative across checks. The solver
+/// counters come from the session's one solver.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SessionStats {
     /// `check()` calls answered.
     pub checks: u64,
-    /// Full re-encoding fallbacks taken (encoder + solver rebuilt).
+    /// In-place re-encodes taken (commitments reset, live assertions
+    /// guarded afresh).
     pub reencodes: u64,
     /// Assertions whose encoding and activation literal were reused from
     /// an earlier check.
@@ -74,13 +91,13 @@ pub struct SessionStats {
     /// Assertions retired by pops (activation literal permanently
     /// disabled).
     pub retired_assertions: u64,
-    /// Conflicts across the session, including discarded solvers.
+    /// Conflicts across the session.
     pub conflicts: u64,
-    /// Decisions across the session, including discarded solvers.
+    /// Decisions across the session.
     pub decisions: u64,
-    /// Propagations across the session, including discarded solvers.
+    /// Propagations across the session.
     pub propagations: u64,
-    /// Extra solves spent minimizing unsat cores.
+    /// Extra solves spent in [`Session::minimize_core`].
     pub core_solves: u64,
 }
 
@@ -94,33 +111,33 @@ pub struct CheckResult {
     pub outcome: Outcome,
     /// Per-check measurements in [`DecideStats`] shape. Solver counters
     /// (`conflict_clauses`, `decisions`, `propagations`, `sat_time`) are
-    /// this check's deltas; `cnf_clauses` is the persistent solver's
-    /// cumulative clause count; structural fields describe the live
-    /// conjunction.
+    /// this check's deltas; `cnf_clauses` counts every clause the
+    /// session's solver has loaded since the session began; structural
+    /// fields describe the live conjunction, `trans_clauses` included
+    /// (the transitivity clauses generated for the live cone, whether
+    /// this check or an earlier one loaded them). `p_fun_fraction` is `NaN`
+    /// (`null` in [`DecideStats::to_json`]): a session analyzes only the
+    /// eliminated live conjunction, never the original one.
     pub stats: DecideStats,
     /// Machine-checked evidence, present when
     /// [`DecideOptions::certify`] was set and the check produced a
     /// definitive answer. Unsat answers are certified by a one-shot
-    /// certified replay of the (minimized) core, so the evidence is
-    /// independent of the incremental machinery.
+    /// certified replay of the core, so the evidence is independent of
+    /// the incremental machinery.
     pub certificate: Option<Certificate>,
-    /// For unsat answers: a sufficient subset of the live assertions,
-    /// extracted from the solver's failed assumptions and minimized
-    /// within [`Session::set_core_minimize_budget`].
+    /// For unsat answers: a sufficient subset of the live assertions, the
+    /// solver's failed assumptions mapped back to assertions. Not
+    /// minimized; [`Session::minimize_core`] shrinks it on request.
     pub unsat_core: Option<Vec<AssertionId>>,
-    /// Whether this check had to fall back to full re-encoding, and why.
+    /// Whether this check had to re-encode the live assertions, and why.
     pub reencoded: Option<ReencodeReason>,
 }
-
-/// Default solve budget for per-check unsat-core minimization.
-const DEFAULT_CORE_MINIMIZE_BUDGET: u64 = 24;
 
 /// A persistent incremental solving session (see the crate docs).
 #[derive(Debug)]
 pub struct Session {
     tm: TermManager,
     options: DecideOptions,
-    core_minimize_budget: u64,
     elim: IncrementalElim,
     solver: Solver,
     loader: IncrementalLoader,
@@ -129,14 +146,10 @@ pub struct Session {
     /// Stack of `assertions.len()` marks, one per open `push`.
     frames: Vec<usize>,
     next_id: usize,
-    generation: u64,
-    /// `original_clauses` count after the last `preprocess()` run on the
-    /// current solver, so unchanged clause sets skip re-preprocessing.
+    /// `original_clauses` count after the last `preprocess()` run, so
+    /// unchanged clause sets skip re-preprocessing.
     preprocessed_at: Option<u64>,
     stats: SessionStats,
-    /// Solver counters accumulated from generations discarded by
-    /// re-encoding (conflicts, decisions, propagations).
-    discarded: (u64, u64, u64),
 }
 
 impl Default for Session {
@@ -158,17 +171,14 @@ impl Session {
             tm,
             loader: IncrementalLoader::new(options.cnf),
             options,
-            core_minimize_budget: DEFAULT_CORE_MINIMIZE_BUDGET,
             elim: IncrementalElim::new(),
             solver: Solver::new(),
             enc: IncrementalEncoder::new(),
             assertions: Vec::new(),
             frames: Vec::new(),
             next_id: 0,
-            generation: 0,
             preprocessed_at: None,
             stats: SessionStats::default(),
-            discarded: (0, 0, 0),
         }
     }
 
@@ -191,12 +201,6 @@ impl Session {
     /// Session-lifetime counters.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
-    }
-
-    /// Caps the re-solves spent minimizing each unsat core (0 disables
-    /// minimization; the raw failed-assumption core is still returned).
-    pub fn set_core_minimize_budget(&mut self, solves: u64) {
-        self.core_minimize_budget = solves;
     }
 
     /// Sets (or clears) the wall-clock budget applied to each subsequent
@@ -238,9 +242,9 @@ impl Session {
     }
 
     /// Closes the innermost scope, retracting its assertions. Their
-    /// activation literals are retired with level-0 units and the clause
-    /// database is simplified, so the retracted content leaves the solver
-    /// while learnt clauses survive.
+    /// activation literals are retired with level-0 units; no clause is
+    /// scanned here — the solver's amortized top-level clean-up drops the
+    /// clauses the units satisfy — and learnt clauses survive.
     ///
     /// # Panics
     ///
@@ -249,15 +253,10 @@ impl Session {
         let mark = self.frames.pop().expect("pop without a matching push");
         let mut retired = 0usize;
         for assertion in self.assertions.drain(mark..) {
-            if assertion.generation == self.generation {
-                if let Some(act) = assertion.act {
-                    self.solver.add_clause([!act]);
-                    retired += 1;
-                }
+            if let Some(act) = assertion.act {
+                self.solver.add_clause([!act]);
+                retired += 1;
             }
-        }
-        if retired > 0 {
-            self.solver.simplify();
         }
         self.stats.pops += 1;
         self.stats.retired_assertions += retired as u64;
@@ -287,32 +286,27 @@ impl Session {
             original: t,
             eliminated,
             act: None,
-            generation: self.generation,
         });
         id
     }
 
-    /// Discards the current encoder and solver, keeping elimination state
-    /// (which is purely structural and stays valid); every live assertion
-    /// will be encoded and guarded afresh at the next check.
-    fn rebuild(&mut self, reason: ReencodeReason) {
-        let s = self.solver.stats();
-        self.discarded.0 += s.conflicts;
-        self.discarded.1 += s.decisions;
-        self.discarded.2 += s.propagations;
-        self.solver = Solver::new();
-        self.loader = IncrementalLoader::new(self.options.cnf);
-        self.enc = IncrementalEncoder::new();
-        self.preprocessed_at = None;
-        for a in &mut self.assertions {
-            a.act = None;
+    /// Re-encodes in place: retires every live activation literal with a
+    /// unit and resets the encoder's commitments, so the check encodes
+    /// and guards every live assertion afresh. The solver with its learnt
+    /// clauses, the CNF loader, the circuit and the elimination tables
+    /// stay (see the module docs).
+    fn reencode(&mut self, reason: ReencodeReason) {
+        for assertion in &mut self.assertions {
+            if let Some(act) = assertion.act.take() {
+                self.solver.add_clause([!act]);
+            }
         }
-        self.generation += 1;
+        self.enc.reset_commitments();
         self.stats.reencodes += 1;
         sufsat_obs::event!(
             "session.reencode",
             reason = reencode_label(reason),
-            generation = self.generation,
+            reencodes = self.stats.reencodes,
             live = self.assertions.len(),
         );
     }
@@ -332,7 +326,7 @@ impl Session {
             "session.check",
             live = self.assertions.len(),
             depth = self.frames.len(),
-            generation = self.generation,
+            reencodes = self.stats.reencodes,
         );
 
         // The implicit validity query is ¬(A₁ ∧ … ∧ Aₙ); its eliminated,
@@ -352,6 +346,7 @@ impl Session {
         let mut stats = DecideStats::default();
         stats.dag_size = dag_size;
         stats.fresh_constants = self.elim.num_fresh_int() + self.elim.num_fresh_bool();
+        stats.p_fun_fraction = f64::NAN;
 
         // The live conjunction can constant-fold to ⊥ outright (an
         // assertion pushed against its own negation): there is nothing to
@@ -391,14 +386,12 @@ impl Session {
         stats.classes = analysis.classes.len();
         stats.max_class_range = analysis.classes.iter().map(|c| c.range).max().unwrap_or(0);
         stats.total_class_range = analysis.classes.iter().map(|c| c.range).sum();
-        stats.p_fun_fraction =
-            analyze_polarity(&self.tm, query).p_fun_app_fraction(&self.tm, query);
 
         // Sound fallback: live conjunction not hostable under the
-        // committed encoding decisions → rebuild from scratch.
+        // committed encoding decisions → re-encode it in place.
         let mut reencoded = None;
         if let Err(reason) = self.enc.check_compatible(&analysis) {
-            self.rebuild(reason);
+            self.reencode(reason);
             reencoded = Some(reason);
         }
 
@@ -432,33 +425,38 @@ impl Session {
         stats.sd_classes = delta.stats.sd_classes;
         stats.eij_classes = delta.stats.eij_classes;
         stats.pred_vars = delta.stats.pred_vars;
-        stats.trans_clauses = delta.stats.new_trans;
+        // Generated for the live cone, whether handed out now or by an
+        // earlier check: what a one-shot encode of the live conjunction
+        // would generate under the same domains.
+        stats.trans_clauses = delta.stats.new_trans + delta.stats.dedup_trans;
 
         // Transitivity clauses are universally valid: load them
         // permanently, unguarded, exactly once.
         self.loader
             .load(self.enc.circuit(), &[], &delta.new_trans, &mut self.solver);
 
-        // Guard every live assertion not yet guarded in this generation.
+        // Guard every live assertion not guarded yet.
         let mut acts: Vec<Lit> = Vec::with_capacity(self.assertions.len());
         let mut fresh_roots = 0usize;
         for (i, assertion) in self.assertions.iter_mut().enumerate() {
-            let reusable = assertion.generation == self.generation && assertion.act.is_some();
-            let act = if reusable {
-                self.stats.reused_roots += 1;
-                assertion.act.expect("checked above")
-            } else {
-                let act = self.solver.new_var().positive();
-                // Activation literals are assumed on every check and retired
-                // by a unit clause on pop: they must survive preprocessing.
-                self.solver.set_frozen(act.var(), true);
-                self.loader
-                    .load_guarded(self.enc.circuit(), act, delta.roots[i], &mut self.solver);
-                assertion.act = Some(act);
-                assertion.generation = self.generation;
-                self.stats.fresh_roots += 1;
-                fresh_roots += 1;
-                act
+            let act = match assertion.act {
+                Some(act) => {
+                    self.stats.reused_roots += 1;
+                    act
+                }
+                None => {
+                    let act = self.solver.new_var().positive();
+                    // Activation literals are assumed on every check and
+                    // retired by a unit clause on pop or re-encode: they
+                    // must survive preprocessing.
+                    self.solver.set_frozen(act.var(), true);
+                    self.loader
+                        .load_guarded(self.enc.circuit(), act, delta.roots[i], &mut self.solver);
+                    assertion.act = Some(act);
+                    self.stats.fresh_roots += 1;
+                    fresh_roots += 1;
+                    act
+                }
             };
             acts.push(act);
         }
@@ -491,15 +489,15 @@ impl Session {
         stats.conflict_clauses = after.conflicts - before.conflicts;
         stats.decisions = after.decisions - before.decisions;
         stats.propagations = after.propagations - before.propagations;
-        self.stats.conflicts = self.discarded.0 + after.conflicts;
-        self.stats.decisions = self.discarded.1 + after.decisions;
-        self.stats.propagations = self.discarded.2 + after.propagations;
+        self.stats.conflicts = after.conflicts;
+        self.stats.decisions = after.decisions;
+        self.stats.propagations = after.propagations;
 
         let mut certificate = None;
         let mut unsat_core = None;
         let outcome = match result {
             SolveResult::Unsat => {
-                let core = self.extract_core(&acts);
+                let core = self.assertions_of(self.solver.failed_assumptions());
                 if self.options.certify {
                     certificate = Some(self.certify_unsat(&core));
                 }
@@ -558,28 +556,49 @@ impl Session {
         }
     }
 
-    /// Maps the solver's failed assumptions back to assertion ids,
-    /// minimizing within the configured budget first.
-    fn extract_core(&mut self, acts: &[Lit]) -> Vec<AssertionId> {
-        let mut failed = self.solver.failed_assumptions().to_vec();
-        if self.core_minimize_budget > 0 && failed.len() > 1 {
-            let (minimal, ms) =
-                minimize_assumptions(&mut self.solver, &failed, self.core_minimize_budget);
-            self.stats.core_solves += ms.solves;
-            failed = minimal;
+    /// The live assertions whose activation literals are among `lits`, in
+    /// id order.
+    fn assertions_of(&self, lits: &[Lit]) -> Vec<AssertionId> {
+        let by_act: HashMap<Lit, AssertionId> = self
+            .assertions
+            .iter()
+            .filter_map(|a| Some((a.act?, a.id)))
+            .collect();
+        let mut ids: Vec<AssertionId> =
+            lits.iter().filter_map(|l| by_act.get(l).copied()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Shrinks `core`, an unsat core of the last [`Session::check`], by
+    /// deletion: re-solves without one assertion at a time and keeps only
+    /// what the remaining conflict needs (`sat::minimize_assumptions`),
+    /// spending at most `max_solves` extra solves. The result is a subset
+    /// of `core` whose conjunction is still unsatisfiable, subset-minimal
+    /// when the budget sufficed. A core of a check that answered without
+    /// solving (the live conjunction folded to false) comes back
+    /// unchanged. Call it before popping any of the core's assertions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id of `core` is not a live assertion.
+    pub fn minimize_core(&mut self, core: &[AssertionId], max_solves: u64) -> Vec<AssertionId> {
+        let mut acts = Vec::with_capacity(core.len());
+        for id in core {
+            let assertion = self
+                .assertions
+                .iter()
+                .find(|a| a.id == *id)
+                .unwrap_or_else(|| panic!("{id:?} is not a live assertion"));
+            match assertion.act {
+                Some(act) => acts.push(act),
+                None => return core.to_vec(),
+            }
         }
-        let by_act: HashMap<Lit, AssertionId> = acts
-            .iter()
-            .zip(&self.assertions)
-            .map(|(&act, a)| (act, a.id))
-            .collect();
-        let mut core: Vec<AssertionId> = failed
-            .iter()
-            .filter_map(|l| by_act.get(l).copied())
-            .collect();
-        core.sort_unstable();
-        core.dedup();
-        core
+        let (minimal, ms) = minimize_assumptions(&mut self.solver, &acts, max_solves);
+        self.stats.core_solves += ms.solves;
+        self.assertions_of(&minimal)
     }
 
     /// Certifies an unsat answer by a one-shot certified replay of the
@@ -824,7 +843,9 @@ mod tests {
         let a_yx = session.assert(yx);
         let r = session.check();
         assert!(r.outcome.is_valid());
-        let core = r.unsat_core.expect("unsat answers carry a core");
+        let raw = r.unsat_core.expect("unsat answers carry a core");
+        let core = session.minimize_core(&raw, 24);
+        assert!(core.iter().all(|id| raw.contains(id)), "{core:?} ⊄ {raw:?}");
         assert!(core.contains(&a_xy) && core.contains(&a_yx), "{core:?}");
         assert!(!core.contains(&a_irrelevant), "minimized core: {core:?}");
     }

@@ -171,6 +171,11 @@ impl ClauseDb {
         out
     }
 
+    /// Literals across the live clauses.
+    pub(crate) fn live_literals(&self) -> usize {
+        self.data.len() - self.wasted - HEADER_WORDS * self.live
+    }
+
     /// Arena size in words (live + wasted).
     pub(crate) fn arena_words(&self) -> usize {
         self.data.len()

@@ -138,6 +138,10 @@ pub struct Solver {
     progress: Option<ProgressHandle>,
     max_learnts: usize,
     restarts_done: u64,
+    /// Level-0 trail length after the last removal of satisfied clauses.
+    simp_assigns: usize,
+    /// Propagation count at the last removal of satisfied clauses.
+    simp_props: u64,
 }
 
 impl Default for Solver {
@@ -200,6 +204,8 @@ impl Solver {
             progress: None,
             max_learnts,
             restarts_done: 0,
+            simp_assigns: 0,
+            simp_props: 0,
         }
     }
 
@@ -504,7 +510,56 @@ impl Solver {
             }
         }
         self.maybe_gc();
+        self.simp_assigns = self.trail.len();
+        self.simp_props = self.stats.propagations;
         true
+    }
+
+    /// The amortized top-level clean-up run at the start of every solve,
+    /// as MiniSat's `simplify` is: once the level-0 trail has grown since
+    /// the last clean-up and the propagations since then exceed the
+    /// literals of the live clauses, removes every clause, original or
+    /// learnt, that is satisfied at level 0. It strengthens nothing and
+    /// copies no clause, so incremental clients that retire assumptions
+    /// with units (e.g. activation literals) pay for the removal in
+    /// proportion to the search they do, not per retirement. A fresh
+    /// solver's first solve has made at most one propagation per unit
+    /// clause plus one per stored clause, each of which has two or more
+    /// literals, so the clean-up fires there only when there are at least
+    /// as many unit clauses as stored ones: one-shot searches run as
+    /// before. Must run at level 0 with the trail propagated.
+    fn remove_satisfied(&mut self) {
+        if self.trail.len() == self.simp_assigns
+            || self.stats.propagations - self.simp_props < self.db.live_literals() as u64
+        {
+            return;
+        }
+        let mut removed = false;
+        for cref in self.db.crefs() {
+            if self.db.is_removed(cref) || self.locked(cref) {
+                continue;
+            }
+            let satisfied =
+                (0..self.db.size(cref)).any(|k| self.value(self.db.lit(cref, k)) == LBool::True);
+            if !satisfied {
+                continue;
+            }
+            if self.proof.is_some() {
+                let lits = self.db.lits_vec(cref);
+                self.proof_delete(&lits);
+            }
+            self.db.remove(cref);
+            removed = true;
+        }
+        if removed {
+            let db = &self.db;
+            for watchers in &mut self.watches {
+                watchers.retain(|w| !db.is_removed(w.cref));
+            }
+            self.maybe_gc();
+        }
+        self.simp_assigns = self.trail.len();
+        self.simp_props = self.stats.propagations;
     }
 
     /// Runs the CDCL search.
@@ -597,6 +652,7 @@ impl Solver {
             self.proof_add(&[]);
             return SolveResult::Unsat;
         }
+        self.remove_satisfied();
         let budget_start = self.stats.conflicts;
         let mut conflicts_this_restart = 0u64;
         let mut restart_limit = self.restart_limit();
@@ -1551,6 +1607,31 @@ mod tests {
         s.add_clause([vs[2].negative()]);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model_value(vs[3]), Some(true));
+    }
+
+    #[test]
+    fn retired_guards_leave_the_clause_database_between_solves() {
+        let mut s = Solver::new();
+        let act = s.new_var();
+        let v = nvars(&mut s, 40);
+        for pair in v.chunks(2) {
+            s.add_clause([act.negative(), pair[0].positive(), pair[1].positive()]);
+        }
+        s.add_clause([v[0].negative(), v[2].negative()]);
+        assert_eq!(s.solve_with_assumptions(&[act.positive()]), SolveResult::Sat);
+        assert_eq!(s.num_clauses(), 21);
+        s.add_clause([act.negative()]);
+        // The clean-up waits until the propagations since the last one
+        // exceed the clause literals, then drops every satisfied clause.
+        let mut solves = 0;
+        while s.num_clauses() > 1 {
+            assert_eq!(s.solve(), SolveResult::Sat);
+            solves += 1;
+            assert!(solves <= 4, "satisfied clauses never left");
+        }
+        assert!(solves >= 2, "the first solve after the unit cannot pay for a scan");
+        assert_eq!(s.solve_with_assumptions(&[v[0].positive()]), SolveResult::Sat);
+        assert_eq!(s.model_value(v[2]), Some(false), "the unguarded clause stays");
     }
 
     #[test]

@@ -1503,11 +1503,14 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
             }
         }
     };
-    // Record before the reply goes out: a client that reacts to its
-    // reply with a `metrics`/`debug` request is guaranteed to find this
-    // request in the histograms and the slow log. The heartbeat is
-    // captured here, before the worker loop clears it, so a slow-log
-    // entry carries the search's final published counters.
+    // Record and complete before the reply goes out: a client that
+    // reacts to its reply with a `metrics`/`debug` request is guaranteed
+    // to find this request in the histograms and the slow log, and no
+    // longer counted in `inflight`. The heartbeat is captured here,
+    // before the worker loop clears it, so a slow-log entry carries the
+    // search's final published counters. A drain that completes in
+    // between cannot lose the reply: the connection's writer runs until
+    // `job.reply`, its last sender, is dropped after the send.
     shared.record_request(
         "decide",
         job.conn.conn_id,
@@ -1516,8 +1519,8 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
         job.admitted_at,
         progress.snapshot(),
     );
-    send(&job.reply, reply_payload);
     complete_job(shared, &job.conn, job.job_key);
+    send(&job.reply, reply_payload);
     drop(span);
 }
 
@@ -1736,8 +1739,9 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
                 }
             }
         }
-        // Record before the reply goes out so a client reacting to its
-        // reply with `metrics`/`debug` already sees this op accounted.
+        // Record and complete before the reply goes out so a client
+        // reacting to its reply with `metrics`/`debug` already sees this
+        // op accounted and out of `inflight` (see `run_decide_job`).
         shared.record_request(
             job.kind.label(),
             job.conn.conn_id,
@@ -1746,8 +1750,8 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
             job.admitted_at,
             progress.snapshot(),
         );
-        send(&job.reply, payload);
         complete_job(shared, &job.conn, job.job_key);
+        send(&job.reply, payload);
         // One slot drain can run many ops; reset the heartbeat so the
         // next op starts from a clean snapshot.
         progress.clear();

@@ -73,8 +73,11 @@ fn main() {
 
     let r = session.check();
     assert!(matches!(r.outcome, Outcome::Valid), "expected unsat");
-    let core = r.unsat_core.expect("unsat answers carry a core");
-    println!("\nwhat-if `sync < fetch` is infeasible; unsat core:");
+    // The check returns the solver's raw failed-assumption core; shrinking
+    // it costs extra solves, so it happens only on request.
+    let raw = r.unsat_core.expect("unsat answers carry a core");
+    let core = session.minimize_core(&raw, 24);
+    println!("\nwhat-if `sync < fetch` is infeasible; minimized unsat core:");
     for id in &core {
         // The core names live assertions; the clashing base constraint
         // (`fetch < sync`) must appear, the unrelated decode/execute

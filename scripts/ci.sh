@@ -84,6 +84,24 @@ awk -F, '
 echo "==> serve: concurrency + soak battery (mixed clients, disconnects, overload)"
 cargo test -q --release --test serve_session
 
+echo "==> serve: the same battery 10 times while two busy loops compete for the cores"
+# Deadline and disconnect tests race the daemon's accounting against the
+# clock; contention for the cores brings out orderings an idle host
+# rarely shows. The trap stops the busy loops however this stage ends.
+hogs=()
+trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
+for _ in 1 2; do
+    ( while :; do :; done ) &
+    hogs+=("$!")
+done
+for run in $(seq 1 10); do
+    echo "--> serve_session under load, run ${run} of 10"
+    cargo test -q --release --test serve_session
+done
+kill "${hogs[@]}"
+wait "${hogs[@]}" 2>/dev/null || true
+trap - EXIT
+
 echo "==> serve: introspection battery (metrics/health/debug ops, slow log, drain flip)"
 cargo test -q --release --test serve_metrics
 

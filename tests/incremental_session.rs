@@ -4,16 +4,21 @@
 //! its only specification is the stateless one: at *every* point, `check`
 //! must answer exactly like a fresh `core::decide(¬(A₁ ∧ … ∧ Aₙ))` over
 //! the live assertions. This test drives interleaved operation sequences
-//! — scripted retraction scenarios, PRNG-driven random walks, the
-//! checked-in fuzz corpus, and the lightest synthetic benchmark families
-//! — comparing against the from-scratch reference after every step.
+//! — scripted retraction scenarios, PRNG-driven random walks (some through
+//! the in-place re-encode, some with preprocessing), the checked-in fuzz
+//! corpus, and the lightest synthetic benchmark families — comparing
+//! against the from-scratch reference after every step. A last test
+//! checks that a check's transitivity work follows its live assertions,
+//! not the session's history.
+
+use std::collections::HashMap;
 
 use sufsat_core::{decide, DecideOptions, EncodingMode, Outcome};
 use sufsat_fuzz::{generate, GenConfig};
 use sufsat_incremental::{conjuncts_of, Session};
 use sufsat_prng::Prng;
-use sufsat_suf::{parse_problem, TermId, TermManager};
-use sufsat_workloads::{random_suf, translation_validation};
+use sufsat_suf::{parse_problem, substitute, TermId, TermManager};
+use sufsat_workloads::{counter_system, random_suf, ring_system, translation_validation};
 
 /// Mirror of the session's live assertion stack, for reference checks.
 #[derive(Default)]
@@ -161,42 +166,78 @@ fn random_interleavings_agree_with_decide_at_every_step() {
     }
 }
 
-/// Uninterpreted-function walks exercise the persistent elimination
-/// tables and the re-encode fallbacks (polarity flips, domain merges).
-#[test]
-fn random_uf_interleavings_agree_with_decide() {
-    let cfg = GenConfig {
+/// One PRNG-driven walk of `steps` push/assert/check/pop operations over
+/// generated formulas, checked against the reference after every step.
+/// Returns the session's re-encode count.
+fn uf_walk(options: &DecideOptions, cfg: &GenConfig, seed: u64, steps: usize) -> u64 {
+    let mut session = Session::new(options.clone());
+    let mut reference = Reference::default();
+    let mut rng = Prng::seed_from_u64(0xf00d ^ (seed << 8));
+    for step in 0..steps {
+        let at = format!(
+            "({:?}, preprocess {}, seed {seed}, step {step})",
+            options.mode, options.preprocess
+        );
+        match rng.random_range(0..4u32) {
+            0 => {
+                session.push();
+                reference.push();
+            }
+            1 if session.depth() > 0 => {
+                session.pop();
+                reference.pop();
+            }
+            _ => {
+                let phi = generate(session.term_manager_mut(), &mut rng, cfg);
+                session.assert(phi);
+                reference.assert(phi);
+            }
+        }
+        check_agrees(&mut session, &reference, options, &at);
+    }
+    session.stats().reencodes
+}
+
+fn uf_config() -> GenConfig {
+    GenConfig {
         int_vars: 3,
         bool_vars: 1,
         ops: 7,
         app_density: 0.4,
         ..GenConfig::default()
-    };
-    for seed in 0..8u64 {
-        let options = DecideOptions::default();
-        let mut session = Session::new(options.clone());
-        let mut reference = Reference::default();
-        let mut rng = Prng::seed_from_u64(0xf00d ^ (seed << 8));
-        for step in 0..10 {
-            let at = format!("(seed {seed}, step {step})");
-            match rng.random_range(0..4u32) {
-                0 => {
-                    session.push();
-                    reference.push();
-                }
-                1 if session.depth() > 0 => {
-                    session.pop();
-                    reference.pop();
-                }
-                _ => {
-                    let phi = generate(session.term_manager_mut(), &mut rng, &cfg);
-                    session.assert(phi);
-                    reference.assert(phi);
-                }
-            }
-            check_agrees(&mut session, &reference, &options, &at);
-        }
     }
+}
+
+/// Uninterpreted-function walks exercise the persistent elimination
+/// tables and the in-place re-encode (polarity flips, domain merges), in
+/// every encoding mode: after a re-encode the session keeps its solver,
+/// learnt clauses and circuit, and must still agree with `decide`.
+#[test]
+fn random_uf_interleavings_agree_with_decide() {
+    let cfg = uf_config();
+    for mode in modes() {
+        let options = DecideOptions::with_mode(mode);
+        let reencodes: u64 = (0..8u64).map(|seed| uf_walk(&options, &cfg, seed, 10)).sum();
+        assert!(
+            reencodes >= 3,
+            "{mode:?}: the walks re-encoded only {reencodes} times"
+        );
+    }
+}
+
+/// The same walks with preprocessing on: a kept solver carries bounded
+/// variable elimination across re-encodes, so restored clauses and model
+/// reconstruction meet re-encoded roots.
+#[test]
+fn random_uf_interleavings_with_preprocessing_agree_with_decide() {
+    let options = DecideOptions {
+        preprocess: true,
+        ..DecideOptions::default()
+    };
+    let reencodes: u64 = (0..8u64)
+        .map(|seed| uf_walk(&options, &uf_config(), seed, 10))
+        .sum();
+    assert!(reencodes >= 3, "the walks re-encoded only {reencodes} times");
 }
 
 /// Every corpus formula, replayed as NNF-split conjuncts of its negation
@@ -275,6 +316,49 @@ fn light_benchmark_families_replay_through_a_session() {
                 "{}: session disagrees with the planted validity",
                 bench.name
             );
+        }
+    }
+}
+
+/// A long unrolling must not make a check pay for the depths before it:
+/// the transitivity clauses the last check generates for its live cone
+/// (new ones plus those earlier checks already handed out) stay within
+/// what a one-shot `decide` of the same live conjunction generates.
+#[test]
+fn last_bmc_check_generates_no_more_transitivity_than_one_shot() {
+    for (bench, bound) in [(counter_system(128), 130), (ring_system(64), 64)] {
+        let options = DecideOptions::default();
+        let system = &bench.system;
+        let mut session = Session::with_term_manager(bench.tm.clone(), options.clone());
+        session.assert(system.init);
+        let mut current: HashMap<TermId, TermId> = system.state.iter().map(|&s| (s, s)).collect();
+        for step in 0..=bound {
+            let tm = session.term_manager_mut();
+            let at_step = system.at_step(tm, &current, step);
+            let prop = substitute(tm, system.property, &at_step);
+            let neg_prop = tm.mk_not(prop);
+            session.push();
+            session.assert(neg_prop);
+            let check = session.check();
+            let last = step == bound || !check.outcome.is_valid();
+            if last {
+                let tm = session.term_manager_mut();
+                let live = tm.mk_and(system.init, neg_prop);
+                let query = tm.mk_not(live);
+                let one_shot = decide(&mut tm.clone(), query, &options);
+                assert!(
+                    check.stats.trans_clauses <= one_shot.stats.trans_clauses,
+                    "{} at step {step}: the session generated {} transitivity clauses, \
+                     a one-shot decide {}",
+                    bench.name,
+                    check.stats.trans_clauses,
+                    one_shot.stats.trans_clauses
+                );
+                assert!(one_shot.stats.trans_clauses > 0, "{}: no EIJ class", bench.name);
+                break;
+            }
+            session.pop();
+            current = system.advance(session.term_manager_mut(), &at_step);
         }
     }
 }
