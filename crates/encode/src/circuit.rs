@@ -7,7 +7,7 @@
 //! solver. Structural hashing keeps shared subformulas shared, mirroring
 //! the DAG representation the paper measures formula sizes on.
 
-use std::collections::{HashMap, HashSet};
+use crate::hash::FxHashMap;
 
 /// A signal: a gate output, possibly inverted. The two constants are
 /// `Signal::TRUE` and `Signal::FALSE`.
@@ -77,7 +77,7 @@ pub enum GateNode {
 #[derive(Debug, Clone)]
 pub struct Circuit {
     gates: Vec<GateNode>,
-    and_intern: HashMap<(Signal, Signal), Signal>,
+    and_intern: FxHashMap<(Signal, Signal), Signal>,
     num_inputs: u32,
 }
 
@@ -94,7 +94,7 @@ impl Circuit {
     pub fn new() -> Circuit {
         Circuit {
             gates: vec![GateNode::ConstTrue],
-            and_intern: HashMap::new(),
+            and_intern: FxHashMap::default(),
             num_inputs: 0,
         }
     }
@@ -127,15 +127,17 @@ impl Circuit {
     }
 
     /// The input signals in the fan-in cones of `roots`, each once, found
-    /// in time proportional to the cones' size.
+    /// in time proportional to the cones' size (plus one bit per gate).
     pub(crate) fn cone_inputs(&self, roots: &[Signal]) -> Vec<Signal> {
-        let mut seen: HashSet<usize> = HashSet::new();
+        let mut seen = vec![0u64; self.gates.len().div_ceil(64)];
         let mut stack: Vec<usize> = roots.iter().map(|s| s.gate()).collect();
         let mut inputs = Vec::new();
         while let Some(gate) = stack.pop() {
-            if !seen.insert(gate) {
+            let (word, bit) = (gate / 64, 1u64 << (gate % 64));
+            if seen[word] & bit != 0 {
                 continue;
             }
+            seen[word] |= bit;
             match self.gates[gate] {
                 GateNode::ConstTrue => {}
                 GateNode::Input(_) => inputs.push(Signal::new(gate as u32, false)),

@@ -4,8 +4,15 @@
 //! both implication directions) and polarity-aware Plaisted–Greenbaum
 //! (only the implications required by the gate's occurrence polarities) —
 //! one of the design choices the benchmark harness ablates.
-
-use std::collections::HashMap;
+//!
+//! Every table of the loader is indexed by gate (or input) number: the
+//! variable of each gate and input, the polarities Plaisted–Greenbaum
+//! needs and the polarities already emitted. Gates are numbered densely
+//! from 0, so a table lookup is one array index, and the traversal
+//! stacks are kept between calls, so loading allocates nothing per
+//! literal. The solver's variables are numbered in the order the loader
+//! first meets each gate, which depends only on the circuit and the order
+//! of the assertions and clauses it is given.
 
 use sufsat_sat::{Lit, Solver, Var};
 
@@ -26,22 +33,26 @@ pub enum CnfMode {
 /// input assignments.
 #[derive(Debug, Clone, Default)]
 pub struct SignalMap {
-    gate_var: HashMap<usize, Var>,
-    input_var: HashMap<u32, Var>,
+    /// Variable per gate index, where one was allocated.
+    gate_var: Vec<Option<Var>>,
+    /// Variable per input index, where one was allocated.
+    input_var: Vec<Option<Var>>,
 }
 
 impl SignalMap {
     /// The SAT variable allocated for circuit input `index`, if any gate
     /// using it was loaded.
     pub fn input_var(&self, index: usize) -> Option<Var> {
-        self.input_var.get(&(index as u32)).copied()
+        self.input_var.get(index).copied().flatten()
     }
 
     /// The SAT literal for a signal, if its gate was loaded.
     pub fn lit(&self, s: Signal) -> Option<Lit> {
         self.gate_var
-            .get(&s.gate())
-            .map(|&v| Lit::new(v, !s.is_inverted()))
+            .get(s.gate())
+            .copied()
+            .flatten()
+            .map(|v| Lit::new(v, !s.is_inverted()))
     }
 
     /// The model value of input `index` from a satisfied solver
@@ -84,10 +95,15 @@ pub fn load_into_solver(
 pub struct IncrementalLoader {
     mode: CnfMode,
     map: SignalMap,
-    /// Needed polarities per gate (PG mode).
-    polarity: HashMap<usize, u8>,
+    /// Needed polarities per gate; Plaisted–Greenbaum only, 0 where a
+    /// gate was never required.
+    polarity: Vec<u8>,
     /// Polarities already emitted per gate.
-    emitted: HashMap<usize, u8>,
+    emitted: Vec<u8>,
+    /// Scratch stack of [`Self::require`].
+    require_stack: Vec<(Signal, u8)>,
+    /// Scratch stack of [`Self::define`].
+    define_stack: Vec<usize>,
 }
 
 impl IncrementalLoader {
@@ -119,45 +135,39 @@ impl IncrementalLoader {
         clauses: &[Vec<Signal>],
         solver: &mut Solver,
     ) {
-        let mut state = self.worker(circuit, solver);
+        self.grow(circuit);
+        let signals = || assertions.iter().chain(clauses.iter().flatten()).copied();
 
-        // Polarity seeding (only meaningful for Plaisted–Greenbaum).
-        for &s in assertions {
-            state.require(s, POS);
-        }
-        for clause in clauses {
-            for &l in clause {
-                state.require(l, POS);
+        // Polarity seeding: only Plaisted–Greenbaum reads polarities.
+        if self.mode == CnfMode::PlaistedGreenbaum {
+            for s in signals() {
+                self.require(circuit, s, POS);
             }
         }
 
         // Emit gate definitions bottom-up for everything reachable.
-        for &s in assertions {
-            state.define(s.gate());
-        }
-        for clause in clauses {
-            for &l in clause {
-                state.define(l.gate());
-            }
+        for s in signals() {
+            self.define(circuit, solver, s.gate());
         }
 
         // Assert top-level constraints.
         for &s in assertions {
-            match state.literal(s) {
+            match self.literal(circuit, solver, s) {
                 Ok(lit) => {
-                    state.solver.add_clause([lit]);
+                    solver.add_clause([lit]);
                 }
                 Err(true) => {}
                 Err(false) => {
-                    state.solver.add_clause([]);
+                    solver.add_clause([]);
                 }
             }
         }
+        let mut lits = Vec::new();
         for clause in clauses {
-            let mut lits = Vec::with_capacity(clause.len());
+            lits.clear();
             let mut satisfied = false;
             for &l in clause {
-                match state.literal(l) {
+                match self.literal(circuit, solver, l) {
                     Ok(lit) => lits.push(lit),
                     Err(true) => {
                         satisfied = true;
@@ -167,7 +177,7 @@ impl IncrementalLoader {
                 }
             }
             if !satisfied {
-                state.solver.add_clause(lits);
+                solver.add_clause(lits.iter().copied());
             }
         }
     }
@@ -179,23 +189,19 @@ impl IncrementalLoader {
     /// becomes the unit `¬act` (checks assuming `act` then answer unsat
     /// with `act` in the failed-assumption core); a constant-true signal
     /// needs no clause.
-    pub fn load_guarded(
-        &mut self,
-        circuit: &Circuit,
-        act: Lit,
-        s: Signal,
-        solver: &mut Solver,
-    ) {
-        let mut state = self.worker(circuit, solver);
-        state.require(s, POS);
-        state.define(s.gate());
-        match state.literal(s) {
+    pub fn load_guarded(&mut self, circuit: &Circuit, act: Lit, s: Signal, solver: &mut Solver) {
+        self.grow(circuit);
+        if self.mode == CnfMode::PlaistedGreenbaum {
+            self.require(circuit, s, POS);
+        }
+        self.define(circuit, solver, s.gate());
+        match self.literal(circuit, solver, s) {
             Ok(lit) => {
-                state.solver.add_clause([!act, lit]);
+                solver.add_clause([!act, lit]);
             }
             Err(true) => {}
             Err(false) => {
-                state.solver.add_clause([!act]);
+                solver.add_clause([!act]);
             }
         }
     }
@@ -208,104 +214,105 @@ impl IncrementalLoader {
         s: Signal,
         solver: &mut Solver,
     ) -> Result<Lit, bool> {
-        self.worker(circuit, solver).literal(s)
+        self.grow(circuit);
+        self.literal(circuit, solver, s)
     }
 
-    fn worker<'a>(&'a mut self, circuit: &'a Circuit, solver: &'a mut Solver) -> Loader<'a> {
-        Loader {
-            circuit,
-            mode: self.mode,
-            solver,
-            map: &mut self.map,
-            polarity: &mut self.polarity,
-            emitted: &mut self.emitted,
+    /// Extends the per-gate and per-input tables to the circuit's current
+    /// size (the circuit only ever grows).
+    fn grow(&mut self, circuit: &Circuit) {
+        let gates = circuit.num_gates();
+        self.map.gate_var.resize(gates, None);
+        self.map.input_var.resize(circuit.num_inputs(), None);
+        self.emitted.resize(gates, 0);
+        if self.mode == CnfMode::PlaistedGreenbaum {
+            self.polarity.resize(gates, 0);
         }
     }
-}
 
-const POS: u8 = 0b01;
-const NEG: u8 = 0b10;
-
-struct Loader<'a> {
-    circuit: &'a Circuit,
-    mode: CnfMode,
-    solver: &'a mut Solver,
-    map: &'a mut SignalMap,
-    /// Needed polarities per gate (PG mode).
-    polarity: &'a mut HashMap<usize, u8>,
-    /// Polarities already emitted per gate.
-    emitted: &'a mut HashMap<usize, u8>,
-}
-
-impl Loader<'_> {
     /// Records that signal `s` is needed with polarity `p`, propagating
     /// through the fan-in cone.
-    fn require(&mut self, s: Signal, p: u8) {
-        let mut stack = vec![(s, p)];
+    fn require(&mut self, circuit: &Circuit, s: Signal, p: u8) {
+        let mut stack = std::mem::take(&mut self.require_stack);
+        stack.push((s, p));
         while let Some((s, p)) = stack.pop() {
             let gate = s.gate();
             let gp = if s.is_inverted() { flip(p) } else { p };
-            let entry = self.polarity.entry(gate).or_insert(0);
-            let added = gp & !*entry;
+            let added = gp & !self.polarity[gate];
             if added == 0 {
                 continue;
             }
-            *entry |= gp;
-            if let GateNode::And(a, b) = self.circuit.gate(gate) {
+            self.polarity[gate] |= gp;
+            if let GateNode::And(a, b) = circuit.gate(gate) {
                 stack.push((*a, added));
                 stack.push((*b, added));
             }
         }
+        self.require_stack = stack;
+    }
+
+    /// The polarities gate `gate` must have emitted: both under Tseitin,
+    /// the required ones under Plaisted–Greenbaum (both for a gate never
+    /// required).
+    fn wanted(&self, gate: usize) -> u8 {
+        match self.mode {
+            CnfMode::Tseitin => POS | NEG,
+            CnfMode::PlaistedGreenbaum => match self.polarity[gate] {
+                0 => POS | NEG,
+                p => p,
+            },
+        }
     }
 
     /// Allocates (if needed) the SAT variable of a gate.
-    fn var_of(&mut self, gate: usize) -> Var {
-        if let Some(&v) = self.map.gate_var.get(&gate) {
+    fn var_of(&mut self, circuit: &Circuit, solver: &mut Solver, gate: usize) -> Var {
+        if let Some(v) = self.map.gate_var[gate] {
             return v;
         }
-        let v = self.solver.new_var();
-        self.map.gate_var.insert(gate, v);
-        if let GateNode::Input(i) = self.circuit.gate(gate) {
-            self.map.input_var.insert(*i, v);
+        let v = solver.new_var();
+        self.map.gate_var[gate] = Some(v);
+        if let GateNode::Input(i) = circuit.gate(gate) {
+            self.map.input_var[*i as usize] = Some(v);
         }
         v
     }
 
     /// The SAT literal of a signal; `Err(value)` for constants.
-    fn literal(&mut self, s: Signal) -> Result<Lit, bool> {
+    fn literal(&mut self, circuit: &Circuit, solver: &mut Solver, s: Signal) -> Result<Lit, bool> {
         if s.is_const() {
             return Err(s == Signal::TRUE);
         }
-        let v = self.var_of(s.gate());
+        let v = self.var_of(circuit, solver, s.gate());
         Ok(Lit::new(v, !s.is_inverted()))
     }
 
     /// Emits the defining clauses of the cone rooted at `gate`,
     /// iteratively (post-order).
-    fn define(&mut self, root: usize) {
-        let mut stack = vec![root];
+    fn define(&mut self, circuit: &Circuit, solver: &mut Solver, root: usize) {
+        if !matches!(circuit.gate(root), GateNode::And(..)) {
+            // Inputs and the constant need no clauses.
+            self.emitted[root] = POS | NEG;
+            return;
+        }
+        let mut stack = std::mem::take(&mut self.define_stack);
+        stack.push(root);
         while let Some(&gate) = stack.last() {
-            let want = match self.mode {
-                CnfMode::Tseitin => POS | NEG,
-                CnfMode::PlaistedGreenbaum => {
-                    self.polarity.get(&gate).copied().unwrap_or(POS | NEG)
-                }
-            };
-            let done = self.emitted.get(&gate).copied().unwrap_or(0);
+            let want = self.wanted(gate);
+            let done = self.emitted[gate];
             if done & want == want {
                 stack.pop();
                 continue;
             }
-            match self.circuit.gate(gate) {
+            match circuit.gate(gate) {
                 GateNode::ConstTrue | GateNode::Input(_) => {
-                    self.emitted.insert(gate, POS | NEG);
+                    self.emitted[gate] = POS | NEG;
                     stack.pop();
                 }
                 GateNode::And(a, b) => {
                     let (a, b) = (*a, *b);
                     // Ensure children are defined first.
-                    let need_a = !self.defined_enough(a.gate(), want, a.is_inverted());
-                    let need_b = !self.defined_enough(b.gate(), want, b.is_inverted());
+                    let need_a = !self.defined_enough(circuit, a.gate(), want, a.is_inverted());
+                    let need_b = !self.defined_enough(circuit, b.gate(), want, b.is_inverted());
                     if need_a || need_b {
                         if need_a {
                             stack.push(a.gate());
@@ -315,71 +322,71 @@ impl Loader<'_> {
                         }
                         continue;
                     }
-                    let g = self.var_of(gate);
+                    let g = self.var_of(circuit, solver, gate);
                     let glit = Lit::new(g, true);
-                    let la = self.literal(a);
-                    let lb = self.literal(b);
+                    let la = self.literal(circuit, solver, a);
+                    let lb = self.literal(circuit, solver, b);
                     let missing = want & !done;
                     if missing & POS != 0 {
                         // g -> a, g -> b.
-                        match la {
-                            Ok(l) => {
-                                self.solver.add_clause([!glit, l]);
-                            }
-                            Err(true) => {}
-                            Err(false) => {
-                                self.solver.add_clause([!glit]);
-                            }
-                        }
-                        match lb {
-                            Ok(l) => {
-                                self.solver.add_clause([!glit, l]);
-                            }
-                            Err(true) => {}
-                            Err(false) => {
-                                self.solver.add_clause([!glit]);
+                        for l in [la, lb] {
+                            match l {
+                                Ok(l) => {
+                                    solver.add_clause([!glit, l]);
+                                }
+                                Err(true) => {}
+                                Err(false) => {
+                                    solver.add_clause([!glit]);
+                                }
                             }
                         }
                     }
                     if missing & NEG != 0 {
                         // a & b -> g.
-                        let mut clause = vec![glit];
+                        let mut clause = [glit; 3];
+                        let mut len = 1;
                         let mut trivially_true = false;
                         for l in [la, lb] {
                             match l {
-                                Ok(l) => clause.push(!l),
+                                Ok(l) => {
+                                    clause[len] = !l;
+                                    len += 1;
+                                }
                                 Err(true) => {}
                                 Err(false) => trivially_true = true,
                             }
                         }
                         if !trivially_true {
-                            self.solver.add_clause(clause);
+                            solver.add_clause(clause[..len].iter().copied());
                         }
                     }
-                    self.emitted.insert(gate, done | want);
+                    self.emitted[gate] = done | want;
                     stack.pop();
                 }
             }
         }
+        self.define_stack = stack;
     }
 
     /// Whether `gate` already has the polarities it would need as a child
     /// occurring with inversion `inv` of a parent needing `parent_want`.
-    fn defined_enough(&self, gate: usize, parent_want: u8, inv: bool) -> bool {
+    fn defined_enough(&self, circuit: &Circuit, gate: usize, parent_want: u8, inv: bool) -> bool {
         let want = match self.mode {
             CnfMode::Tseitin => POS | NEG,
             CnfMode::PlaistedGreenbaum => {
                 let w = if inv { flip(parent_want) } else { parent_want };
-                w & self.polarity.get(&gate).copied().unwrap_or(POS | NEG)
+                w & self.wanted(gate)
             }
         };
-        let done = self.emitted.get(&gate).copied().unwrap_or(0);
-        match self.circuit.gate(gate) {
+        match circuit.gate(gate) {
             GateNode::ConstTrue | GateNode::Input(_) => true,
-            GateNode::And(..) => done & want == want,
+            GateNode::And(..) => self.emitted[gate] & want == want,
         }
     }
 }
+
+const POS: u8 = 0b01;
+const NEG: u8 = 0b10;
 
 fn flip(p: u8) -> u8 {
     ((p & POS) << 1) | ((p & NEG) >> 1)

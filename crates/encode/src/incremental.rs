@@ -45,13 +45,12 @@
 //! predicates of retracted assertions stay loaded: transitivity clauses
 //! are universally valid, so they never affect satisfiability.
 
-use std::collections::{HashMap, HashSet};
-
 use sufsat_seplog::SepAnalysis;
 use sufsat_suf::{TermId, TermManager, VarSym};
 
 use crate::circuit::{Circuit, Signal};
 use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::lower::{bits_for, eq_only, Lowering, Pred};
 use crate::trans::{clause_key, TransBudgetExceeded};
 
@@ -148,15 +147,15 @@ pub struct IncrementalEncoder {
     /// Circuit, predicate tables, domains and per-term caches.
     low: Lowering,
     /// Committed domain of each `V_g` constant.
-    var_domain: HashMap<VarSym, usize>,
+    var_domain: FxHashMap<VarSym, usize>,
     /// Committed p/g classification of every constant ever encoded.
-    committed_pg: HashMap<VarSym, bool>,
+    committed_pg: FxHashMap<VarSym, bool>,
     /// Committed global offset cap; fixed at the first extension.
     off_cap: Option<i64>,
     /// Committed `V_p` lane capacity; fixed at the first extension.
     p_lane_cap: usize,
     /// Transitivity clauses already handed out (sorted-signal keys).
-    trans_seen: HashSet<Vec<Signal>>,
+    trans_seen: FxHashSet<[Signal; 3]>,
 }
 
 impl IncrementalEncoder {

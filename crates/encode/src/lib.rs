@@ -35,6 +35,7 @@ mod circuit;
 mod cnf;
 mod decode;
 mod encoder;
+mod hash;
 mod incremental;
 mod lower;
 mod trans;

@@ -23,7 +23,7 @@
 //! [`Lowering::cone`] which predicates and Boolean constants its live
 //! roots use.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use sufsat_seplog::{AtomOp, Class, GroundTerm, PredKey, SepAnalysis};
@@ -31,8 +31,9 @@ use sufsat_suf::{BoolSym, Sort, Term, TermId, TermManager, VarSym};
 
 use crate::circuit::{Circuit, Signal};
 use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions, EncodingMode};
+use crate::hash::FxHashMap;
 use crate::trans::{
-    close_bounds, close_equalities, originals_among, BoundTable, ElimOrder, EqTable,
+    close_bounds, close_equalities, originals_among, BoundTable, ElimOrder, EqTable, Limits,
     TransBudgetExceeded,
 };
 
@@ -88,25 +89,25 @@ pub(crate) struct Lowering {
     eq_table: EqTable,
     /// Role of every atom-level predicate variable and Boolean constant,
     /// by input index.
-    roles: HashMap<u32, InputRole>,
+    roles: FxHashMap<u32, InputRole>,
     pub(crate) domains: Vec<Domain>,
     /// Added to every SD value so that negative offsets stay in range.
     pub(crate) shift: u64,
     /// Spacing between consecutive `V_p` values.
     pub(crate) stride: u64,
     /// Value lane of each `V_p` constant.
-    pub(crate) p_index: HashMap<VarSym, usize>,
+    pub(crate) p_index: FxHashMap<VarSym, usize>,
     /// Signal per Boolean term.
-    pub(crate) bool_sig: HashMap<TermId, Signal>,
-    bool_inputs: HashMap<BoolSym, Signal>,
+    pub(crate) bool_sig: FxHashMap<TermId, Signal>,
+    bool_inputs: FxHashMap<BoolSym, Signal>,
     /// Genuine (unextended) bits per SD-encoded constant.
-    sd_var_bits: HashMap<VarSym, Vec<Signal>>,
+    sd_var_bits: FxHashMap<VarSym, Vec<Signal>>,
     /// Encoded bit-vectors per (term, domain) context.
-    sd_term_bits: HashMap<(TermId, usize), Vec<Signal>>,
+    sd_term_bits: FxHashMap<(TermId, usize), Vec<Signal>>,
     /// EIJ path enumerations per integer term.
-    paths: HashMap<TermId, Arc<Vec<(Signal, GroundTerm)>>>,
+    paths: FxHashMap<TermId, Arc<Vec<(Signal, GroundTerm)>>>,
     /// Input indices of SD bits for decoding.
-    sd_bit_inputs: HashMap<VarSym, Vec<u32>>,
+    sd_bit_inputs: FxHashMap<VarSym, Vec<u32>>,
 }
 
 impl Lowering {
@@ -270,7 +271,7 @@ impl Lowering {
         budget: usize,
         options: &EncodeOptions,
     ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
-        let (deadline, cancel) = (options.deadline, options.cancel.as_ref());
+        let limits = Limits::new(budget, options.deadline, options.cancel.as_ref());
         let order = ElimOrder::MinDegree;
         let all;
         if self.domains[d].eq_only {
@@ -282,7 +283,7 @@ impl Lowering {
                 }
             };
             let (circuit, table) = (&mut self.circuit, &mut self.eq_table);
-            close_equalities(circuit, table, vars, originals, budget, deadline, cancel, order)
+            close_equalities(circuit, table, vars, originals, limits, order)
         } else {
             let originals = match originals {
                 Some(originals) => originals,
@@ -292,7 +293,7 @@ impl Lowering {
                 }
             };
             let (circuit, table) = (&mut self.circuit, &mut self.table);
-            close_bounds(circuit, table, vars, originals, budget, deadline, cancel, order)
+            close_bounds(circuit, table, vars, originals, limits, order)
         }
     }
 
@@ -312,7 +313,10 @@ impl Lowering {
         p_vars.sort_unstable();
         let (sd_bits, eij_bounds, eij_eqs, bool_inputs) = match cone {
             None => (
-                self.sd_bit_inputs.clone(),
+                self.sd_bit_inputs
+                    .iter()
+                    .map(|(&v, bits)| (v, bits.clone()))
+                    .collect(),
                 self.table.iter_original().map(|p| input(&p)).collect(),
                 self.eq_table.iter_original().map(|p| input(&p)).collect(),
                 self.bool_inputs
@@ -531,7 +535,7 @@ impl Lowering {
                 let sc = self.bool_sig[&c];
                 let tp = self.eij_paths(tm, th);
                 let ep = self.eij_paths(tm, el);
-                let mut merged: HashMap<GroundTerm, Signal> = HashMap::new();
+                let mut merged: FxHashMap<GroundTerm, Signal> = FxHashMap::default();
                 for &(pc, g) in tp.iter() {
                     let cond = self.circuit.and(sc, pc);
                     merge_path(&mut self.circuit, &mut merged, g, cond);
@@ -634,7 +638,7 @@ fn method_for(mode: EncodingMode, class: &Class) -> ClassMethod {
 
 fn merge_path(
     circuit: &mut Circuit,
-    merged: &mut HashMap<GroundTerm, Signal>,
+    merged: &mut FxHashMap<GroundTerm, Signal>,
     g: GroundTerm,
     cond: Signal,
 ) {

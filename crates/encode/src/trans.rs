@@ -19,8 +19,26 @@
 //! The number of generated constraints can grow exponentially — this is the
 //! EIJ blow-up the paper's Figures 3 and 5 document, so the generator takes
 //! a budget and reports overflow rather than running away.
+//!
+//! Bound and equality generation share one elimination graph ([`Graph`]):
+//! dense per-class vertex ids, edges in a vector, adjacency as edge
+//! indices, and a live-degree counter per vertex for the min-degree
+//! choice. Eliminated vertices' edges are skipped lazily instead of being
+//! removed. Every container iterates in insertion order, and the tables
+//! hash with the crate's fixed-seed hasher, so the clauses, their order
+//! and the numbering of derived predicate variables depend only on the
+//! input.
+//!
+//! Bound generation never emits a clause twice, so it keeps no dedup set.
+//! A literal names exactly one edge (`s` the edge `x→y`, `¬s` its
+//! complement `y→x`), so a clause `{¬a, ¬b}` or `{¬a, ¬b, c}` names a
+//! 2- or 3-cycle of edges, and any composition emitting it eliminates one
+//! of the cycle's vertices while the others are live. Only the first of
+//! them to be eliminated can do so, and there the two edges through it
+//! are fixed. Equality generation emits each triangle in all three
+//! rotations, whose literal sets repeat, so it dedups them by sorted
+//! `[Signal; 3]` keys.
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -29,6 +47,46 @@ use sufsat_sat::CancelToken;
 use sufsat_suf::VarSym;
 
 use crate::circuit::{Circuit, Signal};
+use crate::hash::{FxHashMap, FxHashSet};
+use crate::lower::Pred;
+
+/// Canonical predicate variables keyed by `(x, y, c)` with `x < y`: the
+/// storage both [`BoundTable`] and [`EqTable`] wrap.
+#[derive(Debug, Clone, Default)]
+struct PredVars {
+    /// Signal per canonical key, and whether the key is atom-original.
+    vars: FxHashMap<(VarSym, VarSym, i64), (Signal, bool)>,
+    /// Atom-original predicates, in the order they were first marked.
+    original: Vec<Pred>,
+}
+
+impl PredVars {
+    /// The signal of canonical key `key`, allocating a circuit input for
+    /// it if needed.
+    fn get_or_insert(&mut self, circuit: &mut Circuit, key: (VarSym, VarSym, i64)) -> Signal {
+        self.vars
+            .entry(key)
+            .or_insert_with(|| (circuit.input(), false))
+            .0
+    }
+
+    /// Marks the (allocated) canonical key `key` atom-original.
+    fn mark_original(&mut self, key: (VarSym, VarSym, i64)) {
+        let entry = self.vars.get_mut(&key).expect("allocated before marked");
+        if !entry.1 {
+            entry.1 = true;
+            self.original.push((key.0, key.1, key.2, entry.0));
+        }
+    }
+
+    fn is_original(&self, key: (VarSym, VarSym, i64)) -> bool {
+        self.vars.get(&key).is_some_and(|&(_, original)| original)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Pred> + '_ {
+        self.vars.iter().map(|(&(x, y, c), &(s, _))| (x, y, c, s))
+    }
+}
 
 /// Canonical store of per-constraint predicate variables.
 ///
@@ -37,13 +95,23 @@ use crate::circuit::{Circuit, Signal};
 /// signal of the complementary canonical bound.
 #[derive(Debug, Clone, Default)]
 pub struct BoundTable {
-    vars: HashMap<(VarSym, VarSym, i64), Signal>,
-    /// Canonical keys created by atom encoding (as opposed to derived
-    /// predicates introduced during transitivity generation). Only these
-    /// carry two-sided semantics: their *negation* asserts the complement
-    /// bound. Derived variables are one-sided helpers (`e₁ ∧ e₂ ⇒ e₃`)
-    /// and are ignored when decoding models.
-    original: HashSet<(VarSym, VarSym, i64)>,
+    /// Canonical bounds. Only the ones created by atom encoding (as
+    /// opposed to derived predicates introduced during transitivity
+    /// generation) are original: they carry two-sided semantics, their
+    /// *negation* asserting the complement bound. Derived variables are
+    /// one-sided helpers (`e₁ ∧ e₂ ⇒ e₃`) and are ignored when decoding
+    /// models.
+    preds: PredVars,
+}
+
+/// The canonical key of `x − y ≤ c`, and whether the bound is its negation.
+fn bound_key(x: VarSym, y: VarSym, c: i64) -> ((VarSym, VarSym, i64), bool) {
+    if x < y {
+        ((x, y, c), false)
+    } else {
+        // x - y <= c  <=>  !(y - x <= -c-1)
+        ((y, x, -c - 1), true)
+    }
 }
 
 impl BoundTable {
@@ -61,8 +129,7 @@ impl BoundTable {
     /// Panics if `x == y` (such comparisons are constants, not predicates).
     pub fn bound(&mut self, circuit: &mut Circuit, x: VarSym, y: VarSym, c: i64) -> Signal {
         let s = self.derived_bound(circuit, x, y, c);
-        let key = if x < y { (x, y, c) } else { (y, x, -c - 1) };
-        self.original.insert(key);
+        self.preds.mark_original(bound_key(x, y, c).0);
         s
     }
 
@@ -74,58 +141,47 @@ impl BoundTable {
     /// Panics if `x == y`.
     pub fn derived_bound(&mut self, circuit: &mut Circuit, x: VarSym, y: VarSym, c: i64) -> Signal {
         assert_ne!(x, y, "same-variable bounds are constants");
-        if x < y {
-            *self
-                .vars
-                .entry((x, y, c))
-                .or_insert_with(|| circuit.input())
-        } else {
-            // x - y <= c  <=>  !(y - x <= -c-1)
-            let s = *self
-                .vars
-                .entry((y, x, -c - 1))
-                .or_insert_with(|| circuit.input());
+        let (key, negated) = bound_key(x, y, c);
+        let s = self.preds.get_or_insert(circuit, key);
+        if negated {
             !s
+        } else {
+            s
         }
     }
 
     /// Whether the canonical bound covering `(x, y, c)` is atom-original.
     pub fn is_original(&self, x: VarSym, y: VarSym, c: i64) -> bool {
-        let key = if x < y { (x, y, c) } else { (y, x, -c - 1) };
-        self.original.contains(&key)
+        self.preds.is_original(bound_key(x, y, c).0)
     }
 
     /// Looks up a canonical bound without allocating.
     pub fn find(&self, x: VarSym, y: VarSym, c: i64) -> Option<Signal> {
-        if x < y {
-            self.vars.get(&(x, y, c)).copied()
-        } else {
-            self.vars.get(&(y, x, -c - 1)).map(|&s| !s)
-        }
+        let (key, negated) = bound_key(x, y, c);
+        let &(s, _) = self.preds.vars.get(&key)?;
+        Some(if negated { !s } else { s })
     }
 
     /// Number of canonical predicate variables allocated.
     pub fn len(&self) -> usize {
-        self.vars.len()
+        self.preds.vars.len()
     }
 
     /// Whether no predicate variables have been allocated.
     pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        self.preds.vars.is_empty()
     }
 
     /// Iterates over canonical bounds `(x, y, c, signal)` with `x < y`.
     pub fn iter(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
-        self.vars.iter().map(|(&(x, y, c), &s)| (x, y, c, s))
+        self.preds.iter()
     }
 
     /// Iterates over atom-original canonical bounds only — the ones whose
     /// truth value carries two-sided difference-constraint semantics (used
-    /// by model decoding).
+    /// by model decoding) — in the order they were first created.
     pub fn iter_original(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
-        self.original
-            .iter()
-            .map(|&(x, y, c)| (x, y, c, self.vars[&(x, y, c)]))
+        self.preds.original.iter().copied()
     }
 }
 
@@ -168,9 +224,21 @@ pub enum ElimOrder {
     InputOrder,
 }
 
-pub(crate) fn clause_key(clause: &[Signal]) -> Vec<Signal> {
-    let mut k = clause.to_vec();
-    k.sort_unstable();
+/// The dedup key of a transitivity clause (two or three literals): its
+/// literals sorted, a two-literal clause padded with [`Signal::TRUE`],
+/// which no transitivity clause contains.
+pub(crate) fn clause_key(clause: &[Signal]) -> [Signal; 3] {
+    let mut k = [Signal::TRUE; 3];
+    k[3 - clause.len()..].copy_from_slice(clause);
+    if k[1] > k[2] {
+        k.swap(1, 2);
+    }
+    if k[0] > k[1] {
+        k.swap(0, 1);
+    }
+    if k[1] > k[2] {
+        k.swap(1, 2);
+    }
     k
 }
 
@@ -180,8 +248,16 @@ pub(crate) fn clause_key(clause: &[Signal]) -> Vec<Signal> {
 /// remark that equality-only transitivity grows only polynomially.
 #[derive(Debug, Clone, Default)]
 pub struct EqTable {
-    vars: HashMap<(VarSym, VarSym, i64), Signal>,
-    original: HashSet<(VarSym, VarSym, i64)>,
+    preds: PredVars,
+}
+
+/// The canonical key of `x = y + c`: `y = x + (-c)` is the same predicate.
+fn eq_key(x: VarSym, y: VarSym, c: i64) -> (VarSym, VarSym, i64) {
+    if x < y {
+        (x, y, c)
+    } else {
+        (y, x, -c)
+    }
 }
 
 impl EqTable {
@@ -198,8 +274,7 @@ impl EqTable {
     /// Panics if `x == y`.
     pub fn equality(&mut self, circuit: &mut Circuit, x: VarSym, y: VarSym, c: i64) -> Signal {
         let s = self.derived_equality(circuit, x, y, c);
-        let key = if x < y { (x, y, c) } else { (y, x, -c) };
-        self.original.insert(key);
+        self.preds.mark_original(eq_key(x, y, c));
         s
     }
 
@@ -216,32 +291,29 @@ impl EqTable {
         c: i64,
     ) -> Signal {
         assert_ne!(x, y, "same-variable equalities are constants");
-        // x = y + c  <=>  y = x + (-c); canonical orientation x < y.
-        let key = if x < y { (x, y, c) } else { (y, x, -c) };
-        *self.vars.entry(key).or_insert_with(|| circuit.input())
+        self.preds.get_or_insert(circuit, eq_key(x, y, c))
     }
 
     /// Number of canonical equality variables allocated.
     pub fn len(&self) -> usize {
-        self.vars.len()
+        self.preds.vars.len()
     }
 
     /// Whether no equality variables have been allocated.
     pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        self.preds.vars.is_empty()
     }
 
     /// Iterates over all canonical equalities `(x, y, c, signal)`, meaning
     /// `x = y + c` with `x < y`.
     pub fn iter(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
-        self.vars.iter().map(|(&(x, y, c), &s)| (x, y, c, s))
+        self.preds.iter()
     }
 
-    /// Iterates over atom-original canonical equalities only.
+    /// Iterates over atom-original canonical equalities only, in the order
+    /// they were first created.
     pub fn iter_original(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
-        self.original
-            .iter()
-            .map(|&(x, y, c)| (x, y, c, self.vars[&(x, y, c)]))
+        self.preds.original.iter().copied()
     }
 }
 
@@ -293,18 +365,17 @@ pub fn generate_equality_transitivity_ordered(
     order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
     let originals = originals_among(table.iter_original(), class_vars);
-    close_equalities(
-        circuit, table, class_vars, &originals, budget, deadline, cancel, order,
-    )
+    let limits = Limits::new(budget, deadline, cancel);
+    close_equalities(circuit, table, class_vars, &originals, limits, order)
 }
 
 /// The atom-level predicates of `originals` whose both constants are among
 /// `class_vars`.
 pub(crate) fn originals_among(
-    originals: impl Iterator<Item = (VarSym, VarSym, i64, Signal)>,
+    originals: impl Iterator<Item = Pred>,
     class_vars: &[VarSym],
-) -> Vec<(VarSym, VarSym, i64, Signal)> {
-    let members: HashSet<VarSym> = class_vars.iter().copied().collect();
+) -> Vec<Pred> {
+    let members: FxHashSet<VarSym> = class_vars.iter().copied().collect();
     originals
         .filter(|&(x, y, _, _)| members.contains(&x) && members.contains(&y))
         .collect()
@@ -316,171 +387,63 @@ pub(crate) fn originals_among(
 ///
 /// # Errors
 ///
-/// Returns [`TransBudgetExceeded`] past `budget` clauses, the deadline or a
-/// raised cancel token.
-#[allow(clippy::too_many_arguments)]
+/// Returns [`TransBudgetExceeded`] past the clause budget, the deadline or
+/// a raised cancel token of `limits`.
 pub(crate) fn close_equalities(
     circuit: &mut Circuit,
     table: &mut EqTable,
     class_vars: &[VarSym],
-    originals: &[(VarSym, VarSym, i64, Signal)],
-    budget: usize,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
+    originals: &[Pred],
+    limits: Limits<'_>,
     order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
-    let members: HashSet<VarSym> = class_vars.iter().copied().collect();
-    let mut clauses: Vec<Vec<Signal>> = Vec::new();
-    let mut seen_clauses: HashSet<Vec<Signal>> = HashSet::new();
-    let mut edges: HashSet<Edge> = HashSet::new();
-    let mut edges_of: HashMap<VarSym, HashSet<Edge>> = HashMap::new();
-    let add_edge =
-        |e: Edge, edges: &mut HashSet<Edge>, edges_of: &mut HashMap<VarSym, HashSet<Edge>>| {
-            if edges.insert(e) {
-                edges_of.entry(e.u).or_default().insert(e);
-                edges_of.entry(e.v).or_default().insert(e);
-            }
-        };
+    let mut graph = Graph::new(class_vars);
     // Original equalities contribute both orientations (same literal).
     for &(x, y, c, s) in originals {
-        add_edge(
-            Edge {
-                u: x,
-                v: y,
-                w: c,
-                lit: s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
-        add_edge(
-            Edge {
-                u: y,
-                v: x,
-                w: -c,
-                lit: s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
+        let (u, v) = (graph.vertex(x), graph.vertex(y));
+        graph.add_edge(u, v, c, s);
+        graph.add_edge(v, u, -c, s);
     }
-
-    let mut steps = 0usize;
-    let mut remaining: HashSet<VarSym> = members.clone();
-    while remaining.len() > 1 {
-        let m = *remaining
-            .iter()
-            .min_by_key(|v| match order {
-                ElimOrder::MinDegree => (edges_of.get(v).map_or(0, HashSet::len), v.index()),
-                ElimOrder::InputOrder => (0, v.index()),
-            })
-            .expect("non-empty");
-        let incident: Vec<Edge> = edges_of
-            .get(&m)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        let ins: Vec<Edge> = incident.iter().copied().filter(|e| e.v == m).collect();
-        let outs: Vec<Edge> = incident.iter().copied().filter(|e| e.u == m).collect();
-        for &ein in &ins {
-            for &eout in &outs {
-                if ein.lit == eout.lit && ein.u == eout.v {
-                    // An edge composed with its own reverse: offset 0 loop.
-                    continue;
-                }
-                let w = ein.w + eout.w;
-                if ein.u == eout.v {
-                    if w != 0 {
-                        // x = x + w with w != 0: contradiction.
-                        let clause = vec![!ein.lit, !eout.lit];
-                        if seen_clauses.insert(clause_key(&clause)) {
-                            clauses.push(clause);
-                        }
-                    }
-                    continue;
-                }
-                let lit3 = table.derived_equality(circuit, ein.u, eout.v, w);
-                // Bryant–Velev triangle constraints: all three rotations.
-                // Unlike bound predicates, a false equality contributes no
-                // graph edge, so each triangle must be constrained in every
-                // direction for completeness.
-                for (a, b, c) in [
-                    (ein.lit, eout.lit, lit3),
-                    (ein.lit, lit3, eout.lit),
-                    (eout.lit, lit3, ein.lit),
-                ] {
-                    if c == a || c == b {
-                        continue; // e1 ∧ e2 ⇒ e1: tautology
-                    }
-                    let clause = vec![!a, !b, c];
-                    if seen_clauses.insert(clause_key(&clause)) {
-                        clauses.push(clause);
-                    }
-                }
-                // Derived equality: both orientations, same literal.
-                add_edge(
-                    Edge {
-                        u: ein.u,
-                        v: eout.v,
-                        w,
-                        lit: lit3,
-                    },
-                    &mut edges,
-                    &mut edges_of,
-                );
-                add_edge(
-                    Edge {
-                        u: eout.v,
-                        v: ein.u,
-                        w: -w,
-                        lit: lit3,
-                    },
-                    &mut edges,
-                    &mut edges_of,
-                );
-                if clauses.len() > budget {
-                    return Err(TransBudgetExceeded {
-                        generated: clauses.len(),
-                        budget,
-                        timed_out: false,
-                        cancelled: false,
-                    });
-                }
-                steps += 1;
-                if steps.is_multiple_of(4096) {
-                    let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
-                    let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-                    if timed_out || cancelled {
-                        return Err(TransBudgetExceeded {
-                            generated: clauses.len(),
-                            budget,
-                            timed_out,
-                            cancelled,
-                        });
-                    }
-                }
-            }
+    let mut seen: FxHashSet<[Signal; 3]> = FxHashSet::default();
+    let mut push = move |clauses: &mut Vec<Vec<Signal>>, clause: &[Signal]| {
+        if seen.insert(clause_key(clause)) {
+            clauses.push(clause.to_vec());
         }
-        remaining.remove(&m);
-        for e in incident {
-            edges.remove(&e);
-            if let Some(set) = edges_of.get_mut(&e.u) {
-                set.remove(&e);
-            }
-            if let Some(set) = edges_of.get_mut(&e.v) {
-                set.remove(&e);
-            }
+    };
+    graph.close(order, limits, |graph, clauses, ein, eout| {
+        if ein.lit == eout.lit && ein.u == eout.v {
+            // An edge composed with its own reverse: offset 0 loop.
+            return false;
         }
-        edges_of.remove(&m);
-    }
-    Ok(clauses)
-}
-
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
-struct Edge {
-    u: VarSym,
-    v: VarSym,
-    w: i64,
-    lit: Signal,
+        let w = ein.w + eout.w;
+        if ein.u == eout.v {
+            if w != 0 {
+                // x = x + w with w != 0: contradiction.
+                push(clauses, &[!ein.lit, !eout.lit]);
+            }
+            return false;
+        }
+        let (x, z) = (graph.syms[ein.u as usize], graph.syms[eout.v as usize]);
+        let lit3 = table.derived_equality(circuit, x, z, w);
+        // Bryant–Velev triangle constraints: all three rotations.
+        // Unlike bound predicates, a false equality contributes no
+        // graph edge, so each triangle must be constrained in every
+        // direction for completeness.
+        for (a, b, c) in [
+            (ein.lit, eout.lit, lit3),
+            (ein.lit, lit3, eout.lit),
+            (eout.lit, lit3, ein.lit),
+        ] {
+            if c == a || c == b {
+                continue; // e1 ∧ e2 ⇒ e1: tautology
+            }
+            push(clauses, &[!a, !b, c]);
+        }
+        // Derived equality: both orientations, same literal.
+        graph.add_edge(ein.u, eout.v, w, lit3);
+        graph.add_edge(eout.v, ein.u, -w, lit3);
+        true
+    })
 }
 
 /// Generates the transitivity constraints for one class of `V_g`
@@ -528,9 +491,8 @@ pub fn generate_transitivity_ordered(
     order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
     let originals = originals_among(table.iter_original(), class_vars);
-    close_bounds(
-        circuit, table, class_vars, &originals, budget, deadline, cancel, order,
-    )
+    let limits = Limits::new(budget, deadline, cancel);
+    close_bounds(circuit, table, class_vars, &originals, limits, order)
 }
 
 /// Bound transitivity for the class `class_vars` over exactly the
@@ -539,153 +501,231 @@ pub fn generate_transitivity_ordered(
 ///
 /// # Errors
 ///
-/// Returns [`TransBudgetExceeded`] past `budget` clauses, the deadline or a
-/// raised cancel token.
-#[allow(clippy::too_many_arguments)]
+/// Returns [`TransBudgetExceeded`] past the clause budget, the deadline or
+/// a raised cancel token of `limits`.
 pub(crate) fn close_bounds(
     circuit: &mut Circuit,
     table: &mut BoundTable,
     class_vars: &[VarSym],
-    originals: &[(VarSym, VarSym, i64, Signal)],
-    budget: usize,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
+    originals: &[Pred],
+    limits: Limits<'_>,
     order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
-    let members: HashSet<VarSym> = class_vars.iter().copied().collect();
-    let mut clauses: Vec<Vec<Signal>> = Vec::new();
-    let mut seen_clauses: HashSet<Vec<Signal>> = HashSet::new();
-    let mut edges: HashSet<Edge> = HashSet::new();
-    let mut edges_of: HashMap<VarSym, HashSet<Edge>> = HashMap::new();
-
-    let add_edge =
-        |e: Edge, edges: &mut HashSet<Edge>, edges_of: &mut HashMap<VarSym, HashSet<Edge>>| {
-            if edges.insert(e) {
-                edges_of.entry(e.u).or_default().insert(e);
-                edges_of.entry(e.v).or_default().insert(e);
-            }
-        };
-
+    let mut graph = Graph::new(class_vars);
     // Atom-original predicates carry two-sided semantics: `e` asserts the
     // bound, `¬e` asserts the complement. Derived predicates introduced
     // below are one-sided (`e₁ ∧ e₂ ⇒ e₃` only), which keeps the derived
     // constants bounded by path sums — in particular polynomial for
     // equality-only classes, matching Bryant–Velev.
     for &(x, y, c, s) in originals {
-        add_edge(
-            Edge {
-                u: x,
-                v: y,
-                w: c,
-                lit: s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
-        add_edge(
-            Edge {
-                u: y,
-                v: x,
-                w: -c - 1,
-                lit: !s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
+        let (u, v) = (graph.vertex(x), graph.vertex(y));
+        graph.add_edge(u, v, c, s);
+        graph.add_edge(v, u, -c - 1, !s);
+    }
+    graph.close(order, limits, |graph, clauses, ein, eout| {
+        if ein.lit == !eout.lit {
+            // An edge composed with its own complement: tautology.
+            return false;
+        }
+        let w = ein.w + eout.w;
+        if ein.u == eout.v {
+            // Self-loop: a negative one is a contradiction.
+            if w < 0 {
+                clauses.push(vec![!ein.lit, !eout.lit]);
+            }
+            return false;
+        }
+        let (x, z) = (graph.syms[ein.u as usize], graph.syms[eout.v as usize]);
+        let lit3 = table.derived_bound(circuit, x, z, w);
+        if lit3 != ein.lit && lit3 != eout.lit {
+            // Otherwise e1 ∧ e2 ⇒ e1: a tautology.
+            clauses.push(vec![!ein.lit, !eout.lit, lit3]);
+        }
+        // Only the derived direction joins the graph, so later
+        // eliminations can keep collapsing cycles through it;
+        // re-adding existing edges is idempotent.
+        graph.add_edge(ein.u, eout.v, w, lit3);
+        true
+    })
+}
+
+/// The clause budget, deadline and cancel token of one generator run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Limits<'a> {
+    budget: usize,
+    deadline: Option<Instant>,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl<'a> Limits<'a> {
+    pub(crate) fn new(
+        budget: usize,
+        deadline: Option<Instant>,
+        cancel: Option<&'a CancelToken>,
+    ) -> Limits<'a> {
+        Limits {
+            budget,
+            deadline,
+            cancel,
+        }
     }
 
-    let mut steps = 0usize;
-    let mut remaining: HashSet<VarSym> = members.clone();
-    while remaining.len() > 1 {
-        // Min-degree vertex among the remaining.
-        let m = *remaining
-            .iter()
-            .min_by_key(|v| match order {
-                ElimOrder::MinDegree => (edges_of.get(v).map_or(0, HashSet::len), v.index()),
-                ElimOrder::InputOrder => (0, v.index()),
-            })
-            .expect("non-empty");
-        let incident: Vec<Edge> = edges_of
-            .get(&m)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        let ins: Vec<Edge> = incident.iter().copied().filter(|e| e.v == m).collect();
-        let outs: Vec<Edge> = incident.iter().copied().filter(|e| e.u == m).collect();
-        for &ein in &ins {
-            for &eout in &outs {
-                if ein.lit == !eout.lit {
-                    // An edge composed with its own complement: tautology.
-                    continue;
-                }
-                let w = ein.w + eout.w;
-                if ein.u == eout.v {
-                    // Self-loop: a negative one is a contradiction.
-                    if w < 0 {
-                        let clause = vec![!ein.lit, !eout.lit];
-                        if seen_clauses.insert(clause_key(&clause)) {
-                            clauses.push(clause);
-                        }
-                    }
-                    continue;
-                }
-                let lit3 = table.derived_bound(circuit, ein.u, eout.v, w);
-                if lit3 != ein.lit && lit3 != eout.lit {
-                    // Otherwise e1 ∧ e2 ⇒ e1: a tautology.
-                    let clause = vec![!ein.lit, !eout.lit, lit3];
-                    if seen_clauses.insert(clause_key(&clause)) {
-                        clauses.push(clause);
-                    }
-                }
-                // Only the derived direction joins the graph, so later
-                // eliminations can keep collapsing cycles through it;
-                // re-adding existing edges is idempotent.
-                add_edge(
-                    Edge {
-                        u: ein.u,
-                        v: eout.v,
-                        w,
-                        lit: lit3,
-                    },
-                    &mut edges,
-                    &mut edges_of,
-                );
-                if clauses.len() > budget {
-                    return Err(TransBudgetExceeded {
-                        generated: clauses.len(),
-                        budget,
-                        timed_out: false,
-                        cancelled: false,
-                    });
-                }
-                steps += 1;
-                if steps.is_multiple_of(4096) {
-                    let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
-                    let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-                    if timed_out || cancelled {
-                        return Err(TransBudgetExceeded {
-                            generated: clauses.len(),
-                            budget,
-                            timed_out,
-                            cancelled,
-                        });
-                    }
-                }
+    /// Fails past the budget, and every 4,096th step past the deadline or
+    /// on a raised cancel token.
+    fn check(&self, generated: usize, step: usize) -> Result<(), TransBudgetExceeded> {
+        let exceeded = |timed_out, cancelled| TransBudgetExceeded {
+            generated,
+            budget: self.budget,
+            timed_out,
+            cancelled,
+        };
+        if generated > self.budget {
+            return Err(exceeded(false, false));
+        }
+        if step.is_multiple_of(4096) {
+            let timed_out = self.deadline.is_some_and(|d| Instant::now() >= d);
+            let cancelled = self.cancel.is_some_and(CancelToken::is_cancelled);
+            if timed_out || cancelled {
+                return Err(exceeded(timed_out, cancelled));
             }
         }
-        // Remove m and its incident edges.
-        remaining.remove(&m);
-        for e in incident {
-            edges.remove(&e);
-            if let Some(set) = edges_of.get_mut(&e.u) {
-                set.remove(&e);
-            }
-            if let Some(set) = edges_of.get_mut(&e.v) {
-                set.remove(&e);
-            }
-        }
-        edges_of.remove(&m);
+        Ok(())
     }
-    Ok(clauses)
+}
+
+/// A weighted edge `u → v` (dense vertex ids) and the literal implying it.
+#[derive(Debug, Copy, Clone)]
+struct Edge {
+    u: u32,
+    v: u32,
+    w: i64,
+    lit: Signal,
+}
+
+/// One class's edge graph under vertex elimination.
+///
+/// Vertices are dense ids, class members first in `class_vars` order; an
+/// endpoint outside the class gets an id too but is never eliminated.
+/// An edge is identified by `(u, v, w)` (its literal follows from them)
+/// and is stored once; an eliminated vertex's edges stay in its
+/// neighbours' adjacency lists and are skipped there, since no later edge
+/// can touch an eliminated vertex.
+struct Graph {
+    id: FxHashMap<VarSym, u32>,
+    syms: Vec<VarSym>,
+    /// Number of class members: ids `0..members`.
+    members: usize,
+    edges: Vec<Edge>,
+    seen: FxHashSet<(u32, u32, i64)>,
+    /// Indices into `edges` of every edge incident to a vertex.
+    adj: Vec<Vec<u32>>,
+    /// Edges incident to a vertex whose other endpoint is live.
+    degree: Vec<u32>,
+    eliminated: Vec<bool>,
+}
+
+impl Graph {
+    fn new(class_vars: &[VarSym]) -> Graph {
+        let mut graph = Graph {
+            id: FxHashMap::default(),
+            syms: Vec::new(),
+            members: 0,
+            edges: Vec::new(),
+            seen: FxHashSet::default(),
+            adj: Vec::new(),
+            degree: Vec::new(),
+            eliminated: Vec::new(),
+        };
+        for &v in class_vars {
+            graph.vertex(v);
+        }
+        graph.members = graph.syms.len();
+        graph
+    }
+
+    /// The dense id of constant `v`, allocated on first sight.
+    fn vertex(&mut self, v: VarSym) -> u32 {
+        let next = self.syms.len() as u32;
+        let id = *self.id.entry(v).or_insert(next);
+        if id == next {
+            self.syms.push(v);
+            self.adj.push(Vec::new());
+            self.degree.push(0);
+            self.eliminated.push(false);
+        }
+        id
+    }
+
+    /// Adds the edge `u → v` of weight `w` unless it is already present.
+    fn add_edge(&mut self, u: u32, v: u32, w: i64, lit: Signal) {
+        if !self.seen.insert((u, v, w)) {
+            return;
+        }
+        let index = self.edges.len() as u32;
+        self.edges.push(Edge { u, v, w, lit });
+        for end in [u, v] {
+            self.adj[end as usize].push(index);
+            self.degree[end as usize] += 1;
+        }
+    }
+
+    /// The next member to eliminate: least (degree, symbol index) under
+    /// min-degree, least symbol index under input order.
+    fn pick(&self, order: ElimOrder) -> Option<u32> {
+        (0..self.members)
+            .filter(|&i| !self.eliminated[i])
+            .min_by_key(|&i| {
+                let degree = match order {
+                    ElimOrder::MinDegree => self.degree[i],
+                    ElimOrder::InputOrder => 0,
+                };
+                (degree, self.syms[i].index())
+            })
+            .map(|i| i as u32)
+    }
+
+    /// Eliminates member after member until one is left, handing every
+    /// in-edge/out-edge pair through the eliminated vertex to `compose`.
+    /// `compose` emits clauses and derived edges and returns whether the
+    /// pair derived a predicate, which counts as a step against `limits`.
+    fn close(
+        mut self,
+        order: ElimOrder,
+        limits: Limits<'_>,
+        mut compose: impl FnMut(&mut Graph, &mut Vec<Vec<Signal>>, Edge, Edge) -> bool,
+    ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
+        let mut clauses = Vec::new();
+        let mut steps = 0usize;
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
+        for _ in 1..self.members {
+            let m = self.pick(order).expect("a member is left");
+            self.eliminated[m as usize] = true;
+            ins.clear();
+            outs.clear();
+            for &e in &std::mem::take(&mut self.adj[m as usize]) {
+                let edge = self.edges[e as usize];
+                let other = if edge.u == m { edge.v } else { edge.u };
+                if self.eliminated[other as usize] {
+                    continue;
+                }
+                self.degree[other as usize] -= 1;
+                if edge.v == m {
+                    ins.push(edge);
+                } else {
+                    outs.push(edge);
+                }
+            }
+            for &ein in &ins {
+                for &eout in &outs {
+                    if compose(&mut self, &mut clauses, ein, eout) {
+                        steps += 1;
+                        limits.check(clauses.len(), steps)?;
+                    }
+                }
+            }
+        }
+        Ok(clauses)
+    }
 }
 
 #[cfg(test)]
@@ -1039,6 +1079,42 @@ mod tests {
         }
         let r = generate_transitivity(&mut circuit, &mut table, &vs, 10, None, None);
         assert!(matches!(r, Err(TransBudgetExceeded { .. })));
+    }
+
+    #[test]
+    fn bound_generation_emits_every_clause_once() {
+        // Bound generation keeps no dedup set (see the module docs). Dense
+        // classes with parallel edges of many weights are where a repeated
+        // clause would show, under either elimination order.
+        for order in [ElimOrder::MinDegree, ElimOrder::InputOrder] {
+            let mut tm = TermManager::new();
+            let vs = vars(&mut tm, 6);
+            let mut circuit = Circuit::new();
+            let mut table = BoundTable::new();
+            for i in 0..6 {
+                for j in 0..6 {
+                    if i != j {
+                        for c in [-2i64, 0, 2] {
+                            table.bound(&mut circuit, vs[i], vs[j], c + (i * j) as i64 % 5);
+                        }
+                    }
+                }
+            }
+            let clauses = generate_transitivity_ordered(
+                &mut circuit,
+                &mut table,
+                &vs,
+                1_000_000,
+                None,
+                None,
+                order,
+            )
+            .unwrap();
+            let distinct: std::collections::HashSet<[Signal; 3]> =
+                clauses.iter().map(|c| clause_key(c)).collect();
+            assert!(clauses.len() > 1000, "{order:?}: {} clauses", clauses.len());
+            assert_eq!(distinct.len(), clauses.len(), "{order:?}");
+        }
     }
 
     #[test]

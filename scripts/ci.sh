@@ -21,6 +21,26 @@ echo "==> certify: every definitive answer on all 49 benchmarks x 6 eager modes 
 SUFSAT_CERTIFY_FULL=1 cargo test -q --release --test cross_procedure \
     benchmark_answers_carry_checked_certificates
 
+echo "==> determinism: EIJ and HYBRID decides repeat their trajectory in a second process"
+# With the timing fields stripped, the stats line `sufsat --stats` writes
+# to stderr (CNF clauses loaded, conflict clauses) must be the same in
+# every process.
+stats_line() {
+    ./target/release/sufsat --mode "$1" --stats "benchmarks/$2.suf" 2>&1 >/dev/null \
+        | grep '^; nodes=' | sed -E 's/ (translate|sat)=[^ ]*//g'
+}
+for bench in ooo-9d2 ooo-10d2 tv-220 dlx-16x5; do
+    for mode in eij hybrid; do
+        first="$(stats_line "$mode" "$bench")"
+        second="$(stats_line "$mode" "$bench")"
+        if [ -z "$first" ] || [ "$first" != "$second" ]; then
+            echo "trajectory moved on $bench/$mode: '$first' then '$second'" >&2
+            exit 1
+        fi
+        echo "$bench/$mode:$first"
+    done
+done
+
 echo "==> smoke: threshold selection (sequential)"
 ./target/release/paper-eval --timeout 2 threshold
 
