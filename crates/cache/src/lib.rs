@@ -15,9 +15,11 @@
 //! * [`log`] — an append-only checksummed on-disk log so a restarted
 //!   daemon starts warm.
 //!
-//! [`ResultCache`] is the façade gluing them together; `core` consults
-//! it through an opt-in handle on `DecideOptions`, and `sufsat-serve`
-//! owns one per daemon.
+//! [`ResultCache`] is the façade gluing them together. `core` consults
+//! it through an opt-in handle on `DecideOptions`, which is the one
+//! cached decide: the store lookup, single-flight and the rules for what
+//! a flight's leader publishes all live there, and `sufsat-serve` sets
+//! that handle on every `decide` request.
 //!
 //! # What is (and is not) cached
 //!

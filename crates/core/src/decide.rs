@@ -65,10 +65,13 @@ pub struct DecideOptions {
     /// eliminated variables before decoding.
     pub preprocess: bool,
     /// Optional result cache. When set, [`decide`] canonicalizes the
-    /// formula, consults the cache before running the pipeline and
-    /// stores definitive verdicts afterwards. Non-definitive outcomes
-    /// are never cached, and certifying runs (`certify`) bypass the
-    /// cache so every certificate attests to a real solve.
+    /// formula and answers from the cache when it can: from the store,
+    /// or by waiting on an identical decide already in flight
+    /// (single-flight, bounded by `timeout`). Otherwise it runs the
+    /// pipeline and stores a definitive verdict for later calls.
+    /// Non-definitive outcomes are never cached, and certifying runs
+    /// (`certify`) bypass the cache so every certificate attests to a
+    /// real solve. [`Decision::cache`] says how the cache answered.
     pub cache: Option<crate::CacheHandle>,
 }
 
@@ -122,6 +125,25 @@ impl Outcome {
     pub fn is_valid(&self) -> bool {
         matches!(self, Outcome::Valid)
     }
+
+    /// The outcome's label in trace events: `valid`, `invalid`, or
+    /// `unknown:` followed by the [stop reason's name](StopReason::name).
+    pub fn label(&self) -> &'static str {
+        match self {
+            Outcome::Valid => "valid",
+            Outcome::Invalid(_) => "invalid",
+            Outcome::Unknown(reason) => reason.unknown_label(),
+        }
+    }
+
+    /// The verdict without its stop reason: `valid`, `invalid` or
+    /// `unknown` (the daemon's `verdict` reply field).
+    pub fn verdict(&self) -> &'static str {
+        match self {
+            Outcome::Unknown(_) => "unknown",
+            _ => self.label(),
+        }
+    }
 }
 
 /// Why a run stopped without an answer.
@@ -137,6 +159,23 @@ pub enum StopReason {
     /// A [`CancelToken`] was raised from another thread (e.g. the daemon
     /// retiring the job of a disconnected client).
     Cancelled,
+}
+
+impl StopReason {
+    fn unknown_label(self) -> &'static str {
+        match self {
+            StopReason::TranslationBudget => "unknown:translation_budget",
+            StopReason::ConflictBudget => "unknown:conflict_budget",
+            StopReason::Timeout => "unknown:timeout",
+            StopReason::Cancelled => "unknown:cancelled",
+        }
+    }
+
+    /// The reason's name: `translation_budget`, `conflict_budget`,
+    /// `timeout` or `cancelled` (the daemon's `reason` reply field).
+    pub fn name(self) -> &'static str {
+        &self.unknown_label()["unknown:".len()..]
+    }
 }
 
 /// Measurements of one run — the quantities the paper's evaluation reports
@@ -265,6 +304,9 @@ pub struct Decision {
     /// [`DecideOptions::certify`] was set and the run produced a
     /// definitive answer.
     pub certificate: Option<Certificate>,
+    /// How the [result cache](DecideOptions::cache) answered; `None`
+    /// when no cache was consulted (none attached, or `certify`).
+    pub cache: Option<crate::CacheStatus>,
 }
 
 /// Short wire label for an encoding mode (`hybrid` thresholds travel in a
@@ -278,18 +320,6 @@ fn mode_label(mode: EncodingMode) -> &'static str {
     }
 }
 
-/// Short wire label for an outcome.
-fn outcome_label(outcome: &Outcome) -> &'static str {
-    match outcome {
-        Outcome::Valid => "valid",
-        Outcome::Invalid(_) => "invalid",
-        Outcome::Unknown(StopReason::TranslationBudget) => "unknown:translation_budget",
-        Outcome::Unknown(StopReason::ConflictBudget) => "unknown:conflict_budget",
-        Outcome::Unknown(StopReason::Timeout) => "unknown:timeout",
-        Outcome::Unknown(StopReason::Cancelled) => "unknown:cancelled",
-    }
-}
-
 fn trace_decision(outcome: &Outcome, stats: &DecideStats) {
     if !sufsat_obs::enabled() {
         return;
@@ -298,7 +328,7 @@ fn trace_decision(outcome: &Outcome, stats: &DecideStats) {
     DECIDES.incr();
     sufsat_obs::event!(
         "core.decide.result",
-        outcome = outcome_label(outcome),
+        outcome = outcome.label(),
         dag_size = stats.dag_size,
         translate_us = stats.translate_time.as_micros() as u64,
         sat_us = stats.sat_time.as_micros() as u64,
@@ -345,8 +375,10 @@ fn trace_decision(outcome: &Outcome, stats: &DecideStats) {
 /// Panics if a counterexample fails verification (an internal soundness
 /// bug, exercised heavily by the test suite).
 pub fn decide(tm: &mut TermManager, phi: TermId, options: &DecideOptions) -> Decision {
-    let translate_start = Instant::now();
-    let dag_size = tm.dag_size(phi);
+    let entered = Instant::now();
+    // The DAG walk is paid here only when the span records it; otherwise
+    // a solve pays it and a cache hit takes the size from its digest.
+    let traced_dag = sufsat_obs::enabled().then(|| tm.dag_size(phi));
     let obs_span = sufsat_obs::span_with!(
         "core.decide",
         mode = mode_label(options.mode),
@@ -354,49 +386,32 @@ pub fn decide(tm: &mut TermManager, phi: TermId, options: &DecideOptions) -> Dec
             EncodingMode::Hybrid(t) => t as i64,
             _ => -1,
         },
-        dag = dag_size,
+        dag = traced_dag.unwrap_or(0),
         certify = options.certify,
     );
-    let decision = decide_with_cache(tm, phi, options, translate_start, dag_size);
+    let decision = match &options.cache {
+        Some(handle) if !options.certify => {
+            crate::cache::decide_cached(handle, tm, phi, options, entered, traced_dag)
+        }
+        _ => decide_inner(tm, phi, options, entered, traced_dag),
+    };
     if obs_span.is_recording() {
         trace_decision(&decision.outcome, &decision.stats);
     }
     decision
 }
 
-/// Consults the result cache (when one is attached and the run is not
-/// certifying) around [`decide_inner`].
-fn decide_with_cache(
+/// Runs the pipeline. `translate_start` starts the clock of the
+/// translation stage and of `options.timeout`'s encoding deadline;
+/// `dag_size` is the input's DAG size when the caller already knows it.
+pub(crate) fn decide_inner(
     tm: &mut TermManager,
     phi: TermId,
     options: &DecideOptions,
     translate_start: Instant,
-    dag_size: usize,
+    dag_size: Option<usize>,
 ) -> Decision {
-    let handle = match &options.cache {
-        Some(handle) if !options.certify => handle,
-        _ => return decide_inner(tm, phi, options, translate_start, dag_size),
-    };
-    let canonical = sufsat_cache::canonicalize(tm, phi);
-    if let Some(value) = handle.cache().lookup(canonical.fingerprint, &canonical.bytes) {
-        return crate::cache::decision_from_value(&canonical, &value);
-    }
-    let decision = decide_inner(tm, phi, options, translate_start, dag_size);
-    if let Some(value) = crate::cache::value_from_decision(&canonical, &decision) {
-        handle
-            .cache()
-            .insert(canonical.fingerprint, &canonical.bytes, value);
-    }
-    decision
-}
-
-fn decide_inner(
-    tm: &mut TermManager,
-    phi: TermId,
-    options: &DecideOptions,
-    translate_start: Instant,
-    dag_size: usize,
-) -> Decision {
+    let dag_size = dag_size.unwrap_or_else(|| tm.dag_size(phi));
 
     // Step 1: eliminate applications (positive-equality aware).
     let elim = eliminate(tm, phi);
@@ -423,6 +438,7 @@ fn decide_inner(
             outcome: Outcome::Unknown(StopReason::Cancelled),
             stats,
             certificate: None,
+            cache: None,
         };
     }
 
@@ -449,6 +465,7 @@ fn decide_inner(
                 outcome: Outcome::Unknown(reason),
                 stats,
                 certificate: None,
+                cache: None,
             };
         }
     };
@@ -556,10 +573,11 @@ fn decide_inner(
         outcome,
         stats,
         certificate,
+        cache: None,
     }
 }
 
-fn cancel_requested(options: &DecideOptions) -> bool {
+pub(crate) fn cancel_requested(options: &DecideOptions) -> bool {
     options.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
 }
 

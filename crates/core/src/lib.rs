@@ -37,7 +37,7 @@ mod decide;
 mod threshold;
 
 pub use bmc::{check_bounded, check_bounded_with_stats, BmcResult, TransitionSystem};
-pub use cache::CacheHandle;
+pub use cache::{CacheHandle, CacheStatus};
 pub use certify::{
     counterexample_falsifies_original, counterexample_interpretation,
     interpretation_from_instances, Certificate,

@@ -176,7 +176,8 @@ pub fn default_procedures(options: &OracleOptions) -> Vec<Procedure> {
     }
 
     {
-        // The result-cache lens. One cache is shared across the
+        // The result-cache lens: the cached decide every daemon
+        // `decide` request runs. One cache is shared across the
         // panel's whole lifetime — a campaign reuses the panel, so
         // α-equivalent cases collide across iterations, exercising the
         // canonicalizer on unrelated-looking formulas. Each formula is

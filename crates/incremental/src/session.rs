@@ -536,7 +536,7 @@ impl Session {
         if span.is_recording() {
             sufsat_obs::event!(
                 "session.check.done",
-                outcome = outcome_label(&outcome),
+                outcome = outcome.label(),
                 live = self.assertions.len(),
                 fresh_roots = fresh_roots,
                 reused_roots = self.assertions.len() - fresh_roots,
@@ -724,17 +724,6 @@ fn reencode_label(reason: ReencodeReason) -> &'static str {
         ReencodeReason::PolarityFlip => "polarity_flip",
         ReencodeReason::OffsetOverflow => "offset_overflow",
         ReencodeReason::PLaneOverflow => "p_lane_overflow",
-    }
-}
-
-fn outcome_label(outcome: &Outcome) -> &'static str {
-    match outcome {
-        Outcome::Valid => "valid",
-        Outcome::Invalid(_) => "invalid",
-        Outcome::Unknown(StopReason::TranslationBudget) => "unknown:translation_budget",
-        Outcome::Unknown(StopReason::ConflictBudget) => "unknown:conflict_budget",
-        Outcome::Unknown(StopReason::Timeout) => "unknown:timeout",
-        Outcome::Unknown(StopReason::Cancelled) => "unknown:cancelled",
     }
 }
 

@@ -119,7 +119,8 @@ impl Client {
         self.call(&format!("{{{body}}}"))
     }
 
-    /// Convenience: asks the server for its counter dump.
+    /// Convenience: asks the server for its counter dump, the `metrics`
+    /// reply under its `stats` alias.
     pub fn stats(&mut self) -> Result<Json, ClientError> {
         self.call(r#"{"op":"stats"}"#)
     }

@@ -55,45 +55,51 @@ fn progress_json(state: &str, p: &ProgressSnapshot) -> String {
     )
 }
 
-fn counters_json(shared: &Shared) -> String {
-    let c = shared.counters();
-    format!(
-        "{{\"requests\":{},\"ok\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\
-         \"deadline_expired\":{},\"cancelled\":{},\"panics\":{},\"sessions_opened\":{}}}",
-        c.requests,
-        c.ok,
-        c.errors,
-        c.overloaded,
-        c.timeouts,
-        c.deadline_expired,
-        c.cancelled,
-        c.panics,
-        c.sessions_opened,
+/// `"name":value` members of a JSON object, comma-separated.
+fn json_members(fields: impl IntoIterator<Item = (&'static str, u64)>) -> String {
+    let members: Vec<String> = fields
+        .into_iter()
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
+    members.join(",")
+}
+
+/// `N` named figures, in reply order.
+type Figures<const N: usize> = [(&'static str, u64); N];
+
+/// The result cache's counters and its gauges: the one list behind the
+/// `metrics` reply's `cache` block and the `sufsat_cache_*` families.
+/// Store figures read zero with the cache disabled.
+fn cache_figures(shared: &Shared) -> (Figures<5>, Figures<2>) {
+    let s = shared.cache_stats();
+    (
+        [
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("coalesced", shared.cache_coalesced_now()),
+            ("inserts", s.inserts),
+            ("evictions", s.evictions),
+        ],
+        [("entries", s.entries), ("bytes", s.bytes)],
     )
 }
 
 /// The result-cache block of the `metrics` reply: store counters,
 /// coalesced waits and the hit-latency distribution.
 fn cache_json(shared: &Shared) -> String {
-    let s = shared.cache_stats();
+    let (counters, gauges) = cache_figures(shared);
     format!(
-        "{{\"enabled\":{},\"hits\":{},\"misses\":{},\"coalesced\":{},\"inserts\":{},\
-         \"evictions\":{},\"entries\":{},\"bytes\":{},\"hit_latency_us\":{}}}",
+        "{{\"enabled\":{},{},\"hit_latency_us\":{}}}",
         shared.cache_enabled(),
-        s.hits,
-        s.misses,
-        shared.cache_coalesced_now(),
-        s.inserts,
-        s.evictions,
-        s.entries,
-        s.bytes,
+        json_members(counters.into_iter().chain(gauges)),
         quantile_json(&shared.cache_hit_latency_snapshot()),
     )
 }
 
-/// The `metrics` op: latency and queue-wait distributions (since start
-/// and over the rolling window), counters, gauges, result-cache state
-/// and per-worker solver progress, all in one reply.
+/// The `metrics` op (and its alias `stats`): latency and queue-wait
+/// distributions (since start and over the rolling window), counters,
+/// gauges, result-cache state and per-worker solver progress, all in one
+/// reply.
 pub(crate) fn metrics_reply(shared: &Arc<Shared>, id: Option<u64>) -> Vec<u8> {
     let workers: Vec<String> = shared
         .worker_info()
@@ -110,7 +116,7 @@ pub(crate) fn metrics_reply(shared: &Arc<Shared>, id: Option<u64>) -> Vec<u8> {
         .i64_field("inflight", shared.inflight_now())
         .i64_field("open_sessions", shared.open_sessions_now())
         .i64_field("connections", shared.connections_now())
-        .raw_field("counters", &counters_json(shared))
+        .raw_field("counters", &format!("{{{}}}", json_members(shared.counters().fields())))
         .raw_field("cache", &cache_json(shared))
         .raw_field("workers", &format!("[{}]", workers.join(",")))
         .finish()
@@ -187,16 +193,9 @@ fn push_counter(out: &mut String, family: &str, value: u64) {
 /// native histograms, and per-worker `sat.progress`-derived gauges.
 pub(crate) fn render_prometheus(shared: &Shared) -> String {
     let mut out = String::with_capacity(4096);
-    let c = shared.counters();
-    push_counter(&mut out, "sufsat_requests_total", c.requests);
-    push_counter(&mut out, "sufsat_ok_total", c.ok);
-    push_counter(&mut out, "sufsat_errors_total", c.errors);
-    push_counter(&mut out, "sufsat_overloaded_total", c.overloaded);
-    push_counter(&mut out, "sufsat_timeouts_total", c.timeouts);
-    push_counter(&mut out, "sufsat_deadline_expired_total", c.deadline_expired);
-    push_counter(&mut out, "sufsat_cancelled_total", c.cancelled);
-    push_counter(&mut out, "sufsat_panics_total", c.panics);
-    push_counter(&mut out, "sufsat_sessions_opened_total", c.sessions_opened);
+    for (name, value) in shared.counters().fields() {
+        push_counter(&mut out, &format!("sufsat_{name}_total"), value);
+    }
 
     push_gauge(&mut out, "sufsat_up", 1);
     push_gauge(&mut out, "sufsat_draining", i64::from(shared.draining()));
@@ -213,15 +212,14 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
 
     // Result-cache families are rendered unconditionally (all zeros with
     // the cache disabled) so scrapers can rely on their presence.
-    let cache = shared.cache_stats();
-    push_counter(&mut out, "sufsat_cache_hits_total", cache.hits);
-    push_counter(&mut out, "sufsat_cache_misses_total", cache.misses);
-    push_counter(&mut out, "sufsat_cache_coalesced_total", shared.cache_coalesced_now());
-    push_counter(&mut out, "sufsat_cache_inserts_total", cache.inserts);
-    push_counter(&mut out, "sufsat_cache_evictions_total", cache.evictions);
+    let (counters, gauges) = cache_figures(shared);
+    for (name, value) in counters {
+        push_counter(&mut out, &format!("sufsat_cache_{name}_total"), value);
+    }
+    for (name, value) in gauges {
+        push_gauge(&mut out, &format!("sufsat_cache_{name}"), value as i64);
+    }
     push_gauge(&mut out, "sufsat_cache_enabled", i64::from(shared.cache_enabled()));
-    push_gauge(&mut out, "sufsat_cache_entries", cache.entries as i64);
-    push_gauge(&mut out, "sufsat_cache_bytes", cache.bytes as i64);
 
     push_histogram(&mut out, "sufsat_request_latency_us", &shared.latency_snapshot());
     push_histogram(&mut out, "sufsat_queue_wait_us", &shared.queue_wait_snapshot());

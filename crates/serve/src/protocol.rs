@@ -33,19 +33,20 @@
 //! | `session-pop`       | `session`                                          |
 //! | `session-check`     | `session`, `timeout_ms?`                           |
 //! | `session-close`     | `session`                                          |
-//! | `stats`             | —                                                  |
 //! | `metrics`           | —                                                  |
+//! | `stats`             | — (an alias of `metrics`)                          |
 //! | `health`            | —                                                  |
 //! | `debug`             | `what` (only `"slow_requests"` today)              |
 //! | `shutdown`          | —                                                  |
 //!
-//! `stats` is the raw counter dump; `metrics` adds latency and
-//! queue-wait quantiles, a 10-second rolling latency window and
-//! per-worker solver progress; `health` is the cheap liveness/drain
-//! probe; `debug` dumps server-internal diagnostic state (currently the
-//! slow-request log). All four are answered inline on the connection's
-//! reader thread — they never queue, so they keep working while the
-//! worker pool is saturated or draining.
+//! `metrics` dumps the counters, gauges and result-cache state with
+//! latency and queue-wait quantiles, a 10-second rolling latency window
+//! and per-worker solver progress; `stats` is another name for it.
+//! `health` is the cheap liveness/drain probe; `debug` dumps
+//! server-internal diagnostic state (currently the slow-request log).
+//! All of them are answered inline on the connection's reader thread —
+//! they never queue, so they keep working while the worker pool is
+//! saturated or draining.
 //!
 //! `problem` is a SUF problem in the s-expression surface syntax
 //! accepted by [`sufsat_suf::parse_problem`]. For session ops the
@@ -59,7 +60,7 @@
 //!
 //! * `{"id":…,"status":"ok", …}` — op-specific payload fields
 //!   (`verdict`/`reason`/`time_us` for solves, `session` for opens,
-//!   `assertion` for asserts, the counter dump for `stats`).
+//!   `assertion` for asserts, the counter dump for `metrics`).
 //! * `{"id":…,"status":"error","message":…}` — malformed or unservable
 //!   request; the connection stays open unless framing was lost.
 //! * `{"id":…,"status":"overloaded"}` — admission control rejected the
@@ -168,10 +169,9 @@ pub enum Op {
     SessionCheck,
     /// Destroy a session.
     SessionClose,
-    /// Dump server counters.
-    Stats,
-    /// Dump counters plus latency/queue-wait quantiles and per-worker
-    /// solver progress.
+    /// Dump counters, gauges and result-cache state plus latency and
+    /// queue-wait quantiles and per-worker solver progress (`stats` on
+    /// the wire is an alias).
     Metrics,
     /// Cheap liveness and drain-state probe.
     Health,
@@ -192,7 +192,6 @@ impl Op {
             Op::SessionPop => "session-pop",
             Op::SessionCheck => "session-check",
             Op::SessionClose => "session-close",
-            Op::Stats => "stats",
             Op::Metrics => "metrics",
             Op::Health => "health",
             Op::Debug => "debug",
@@ -280,8 +279,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, (Option<u64>, String)> {
         "session-pop" => Op::SessionPop,
         "session-check" => Op::SessionCheck,
         "session-close" => Op::SessionClose,
-        "stats" => Op::Stats,
-        "metrics" => Op::Metrics,
+        "metrics" | "stats" => Op::Metrics,
         "health" => Op::Health,
         "debug" => Op::Debug,
         "shutdown" => Op::Shutdown,
@@ -384,7 +382,7 @@ impl ReplyBuilder {
     }
 
     /// Appends a pre-rendered JSON value field (caller guarantees
-    /// validity — used for the nested counter object in `stats`).
+    /// validity — used for the nested objects of `metrics`).
     pub fn raw_field(mut self, key: &str, raw_json: &str) -> ReplyBuilder {
         self.out.push(',');
         json::escape_into(&mut self.out, key);
@@ -398,6 +396,18 @@ impl ReplyBuilder {
         self.out.push('}');
         self.out.into_bytes()
     }
+}
+
+/// The `status` a [`ReplyBuilder`] reply was started with: the value of
+/// its first `"status"` key, which only a numeric `id` precedes.
+pub(crate) fn payload_status(payload: &[u8]) -> &[u8] {
+    const KEY: &[u8] = b"\"status\":\"";
+    let start = payload
+        .windows(KEY.len())
+        .position(|w| w == KEY)
+        .map_or(payload.len(), |i| i + KEY.len());
+    let len = payload[start..].iter().position(|&b| b == b'"').unwrap_or(0);
+    &payload[start..start + len]
 }
 
 /// A ready-made `error` reply payload.
@@ -504,6 +514,7 @@ mod tests {
         assert_eq!(r.id, Some(7));
         assert_eq!(r.timeout_ms, Some(250));
         assert_eq!(r.problem.as_deref(), Some("(vars x)"));
+        assert_eq!(parse_request(br#"{"op":"stats"}"#).unwrap().op, Op::Metrics);
 
         // id still extracted from otherwise-bad requests.
         let (id, msg) = parse_request(br#"{"op":"nope","id":3}"#).unwrap_err();
@@ -528,6 +539,9 @@ mod tests {
             .str_field("verdict", "valid")
             .u64_field("time_us", 12)
             .finish();
+        assert_eq!(payload_status(&bytes), b"ok");
+        assert_eq!(payload_status(&error_reply(None, "\"status\":\"ok\"")), b"error");
+        assert_eq!(payload_status(&overloaded_reply(Some(9))), b"overloaded");
         assert_eq!(
             String::from_utf8(bytes).unwrap(),
             r#"{"id":1,"status":"ok","verdict":"valid","time_us":12}"#

@@ -50,10 +50,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sufsat_cache::{
-    canonicalize, CacheValue, CachedVerdict, Joined, ResultCache, StatsDigest, StoreStats,
-};
-use sufsat_core::{decide, DecideOptions, DecideStats, Outcome, SepAssignment, StopReason};
+use sufsat_cache::StoreStats;
+use sufsat_core::{decide, CacheHandle, CacheStatus, DecideOptions, Decision, Outcome, StopReason};
 use sufsat_incremental::Session;
 use sufsat_obs::{HistogramBins, RollingWindow};
 use sufsat_sat::{CancelToken, ProgressHandle, ProgressSnapshot};
@@ -63,8 +61,8 @@ use crate::metrics::{
     debug_reply, health_reply, metrics_reply, spawn_metrics_listener,
 };
 use crate::protocol::{
-    error_reply, overloaded_reply, parse_request, read_frame, write_frame, FrameError, Op,
-    ReplyBuilder, Request, DEFAULT_MAX_FRAME,
+    error_reply, overloaded_reply, parse_request, payload_status, read_frame, write_frame,
+    FrameError, Op, ReplyBuilder, Request, DEFAULT_MAX_FRAME,
 };
 use crate::queue::{JobQueue, PushError};
 
@@ -120,15 +118,16 @@ impl Default for ServeOptions {
     }
 }
 
-/// Monotonically increasing counters, snapshotted by the `stats` op and
-/// by [`ServeReport`].
+/// Monotonically increasing counters, snapshotted by the `metrics` op
+/// and by [`ServeReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Frames received that were answered with a reply: every parsed
-    /// request plus malformed frames answered with an error. Once the
-    /// server drains, `requests == ok + errors + overloaded` — every
-    /// received frame settles into exactly one terminal bucket (the soak
-    /// battery asserts this).
+    /// request plus malformed frames answered with an error. Each reply
+    /// is counted by its status where it is sent, so once the server
+    /// drains, `requests == ok + errors + overloaded` — every received
+    /// frame settles into exactly one terminal bucket (the soak battery
+    /// asserts this).
     pub requests: u64,
     /// `ok` replies sent.
     pub ok: u64,
@@ -147,6 +146,26 @@ pub struct CounterSnapshot {
     pub panics: u64,
     /// Sessions ever opened.
     pub sessions_opened: u64,
+}
+
+impl CounterSnapshot {
+    /// Every counter as a `(name, value)` pair, in declaration order: the
+    /// one list behind the `metrics` reply's `counters` object, the
+    /// `sufsat_<name>_total` Prometheus families and the `serve.stop`
+    /// event.
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
+        [
+            ("requests", self.requests),
+            ("ok", self.ok),
+            ("errors", self.errors),
+            ("overloaded", self.overloaded),
+            ("timeouts", self.timeouts),
+            ("deadline_expired", self.deadline_expired),
+            ("cancelled", self.cancelled),
+            ("panics", self.panics),
+            ("sessions_opened", self.sessions_opened),
+        ]
+    }
 }
 
 /// Final state handed back by [`ServerHandle::shutdown`] /
@@ -241,7 +260,7 @@ pub(crate) struct Shared {
     slow_log: Mutex<Vec<SlowEntry>>,
     /// Canonicalizing result cache for plain `decide` requests; `None`
     /// when `cache_bytes == 0`.
-    cache: Option<Arc<ResultCache>>,
+    cache: Option<CacheHandle>,
     /// Requests answered from another request's in-flight computation
     /// (single-flight followers). Counted as hits in the hit rate.
     c_cache_coalesced: AtomicU64,
@@ -301,17 +320,6 @@ impl Shared {
         }
     }
 
-    fn gauges(&self) {
-        static QUEUE_DEPTH: sufsat_obs::Gauge = sufsat_obs::Gauge::new("serve.queue_depth");
-        static INFLIGHT: sufsat_obs::Gauge = sufsat_obs::Gauge::new("serve.inflight");
-        static SESSIONS: sufsat_obs::Gauge = sufsat_obs::Gauge::new("serve.open_sessions");
-        static CONNS: sufsat_obs::Gauge = sufsat_obs::Gauge::new("serve.connections");
-        QUEUE_DEPTH.set(self.queue.len() as i64);
-        INFLIGHT.set(self.inflight.load(Ordering::Relaxed));
-        SESSIONS.set(self.open_sessions.load(Ordering::Relaxed));
-        CONNS.set(self.connections.load(Ordering::Relaxed));
-    }
-
     // ---- introspection surface (metrics/health/debug, /metrics) -------
 
     pub(crate) fn uptime_us(&self) -> u64 {
@@ -364,7 +372,7 @@ impl Shared {
     pub(crate) fn cache_stats(&self) -> StoreStats {
         self.cache
             .as_ref()
-            .map(|c| c.stats())
+            .map(|c| c.cache().stats())
             .unwrap_or_default()
     }
 
@@ -570,15 +578,15 @@ impl Server {
         let cache = if opts.cache_bytes == 0 {
             None
         } else if let Some(path) = &opts.cache_path {
-            let (cache, report) = ResultCache::with_persistence(opts.cache_bytes, path)?;
+            let (cache, report) = CacheHandle::with_persistence(opts.cache_bytes, path)?;
             sufsat_obs::event!(
                 "serve.cache_loaded",
                 records = report.unique as u64,
                 truncated_bytes = report.truncated_bytes,
             );
-            Some(Arc::new(cache))
+            Some(cache)
         } else {
-            Some(Arc::new(ResultCache::new(opts.cache_bytes)))
+            Some(CacheHandle::with_budget(opts.cache_bytes))
         };
         let shared = Arc::new(Shared {
             queue: JobQueue::new(opts.queue_cap),
@@ -789,12 +797,12 @@ impl ServerHandle {
             open_sessions: self.shared.open_sessions.load(Ordering::Acquire),
             counters: self.shared.counters(),
         };
-        sufsat_obs::event!(
-            "serve.stop",
-            inflight = report.inflight,
-            open_sessions = report.open_sessions,
-            requests = report.counters.requests,
-        );
+        let mut fields = vec![
+            ("inflight", sufsat_obs::Value::from(report.inflight)),
+            ("open_sessions", sufsat_obs::Value::from(report.open_sessions)),
+        ];
+        fields.extend(report.counters.fields().map(|(k, v)| (k, v.into())));
+        sufsat_obs::event("serve.stop", &fields);
         report
     }
 }
@@ -830,7 +838,6 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
                 .insert(conn_id, clone);
         }
         shared.connections.fetch_add(1, Ordering::AcqRel);
-        shared.gauges();
         let shared2 = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name(format!("sufsat-conn-{conn_id}"))
@@ -882,7 +889,6 @@ fn serve_connection(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
         .remove(&conn_id);
     shared.conn_closed.notify_all();
     shared.connections.fetch_sub(1, Ordering::AcqRel);
-    shared.gauges();
 }
 
 fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>) {
@@ -895,8 +901,17 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>) {
     let _ = w.flush();
 }
 
-fn send(reply: &Sender<Vec<u8>>, payload: Vec<u8>) {
-    let _ = reply.send(payload);
+/// Sends one reply and counts it by its status. Every reply to a
+/// received frame goes through here, so once the server drains,
+/// `requests == ok + errors + overloaded`.
+fn send(shared: &Shared, tx: &Sender<Vec<u8>>, payload: Vec<u8>) {
+    let counter = match payload_status(&payload) {
+        b"ok" => &shared.c_ok,
+        b"overloaded" => &shared.c_overloaded,
+        _ => &shared.c_errors,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    let _ = tx.send(payload);
 }
 
 /// Cancels the connection's in-flight jobs and reclaims its sessions.
@@ -945,7 +960,6 @@ fn cleanup_connection(
         shared.c_cancelled.fetch_add(retired, Ordering::Relaxed);
         sufsat_obs::event!("serve.conn.reaped", conn = conn.conn_id, cancelled = retired);
     }
-    shared.gauges();
     shared.maybe_signal_drained();
 }
 
@@ -957,130 +971,82 @@ fn read_loop(
     tx: &Sender<Vec<u8>>,
 ) {
     loop {
-        match read_frame(reader, shared.opts.max_frame) {
-            Ok(payload) => {
-                if !handle_payload(shared, conn, sessions, &payload, tx) {
+        let frame = read_frame(reader, shared.opts.max_frame);
+        if let Err(FrameError::Closed | FrameError::Truncated | FrameError::Io(_)) = frame {
+            return;
+        }
+        // Every other frame, malformed ones included, is a request that
+        // gets exactly one reply.
+        shared.c_requests.fetch_add(1, Ordering::Relaxed);
+        match frame {
+            Ok(payload) => handle_payload(shared, conn, sessions, &payload, tx),
+            Err(e) => {
+                send(shared, tx, error_reply(None, &e.to_string()));
+                // Past an oversized frame the stream is out of sync: hang up.
+                if !e.recoverable() {
                     return;
                 }
             }
-            Err(e @ FrameError::Empty) => {
-                // A malformed frame still counts as a received request:
-                // `requests` tracks every answered frame so it reconciles
-                // against `ok + errors + overloaded` at drain.
-                shared.c_requests.fetch_add(1, Ordering::Relaxed);
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                send(tx, error_reply(None, &e.to_string()));
-            }
-            Err(FrameError::Closed) => return,
-            Err(e @ FrameError::TooLarge(_)) => {
-                // The stream is out of sync past this point: one last
-                // diagnostic, then hang up.
-                shared.c_requests.fetch_add(1, Ordering::Relaxed);
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                send(tx, error_reply(None, &e.to_string()));
-                return;
-            }
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => return,
         }
     }
 }
 
-/// Handles one parsed frame. Returns `false` when the connection should
-/// close.
+/// Handles one well-framed request.
 fn handle_payload(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     sessions: &mut HashMap<u64, Arc<SessionSlot>>,
     payload: &[u8],
     tx: &Sender<Vec<u8>>,
-) -> bool {
-    static REQUESTS: sufsat_obs::Counter = sufsat_obs::Counter::new("serve.requests");
-    shared.c_requests.fetch_add(1, Ordering::Relaxed);
-    REQUESTS.incr();
+) {
     let req = match parse_request(payload) {
         Ok(req) => req,
         Err((id, message)) => {
-            shared.c_errors.fetch_add(1, Ordering::Relaxed);
-            send(tx, error_reply(id, &message));
-            return true;
+            send(shared, tx, error_reply(id, &message));
+            return;
         }
     };
     let id = req.id;
     match req.op {
-        Op::Stats => {
-            send(tx, stats_reply(shared, id));
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
-            true
-        }
         // Introspection ops are answered inline by the reader thread, so
         // they keep working while the worker pool is saturated or the
         // server is draining.
-        Op::Metrics => {
-            send(tx, metrics_reply(shared, id));
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Op::Health => {
-            send(tx, health_reply(shared, id));
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
-            true
-        }
+        Op::Metrics => send(shared, tx, metrics_reply(shared, id)),
+        Op::Health => send(shared, tx, health_reply(shared, id)),
         Op::Debug => {
-            match req.what.as_deref() {
-                Some("slow_requests") => {
-                    send(tx, debug_reply(shared, id));
-                    shared.c_ok.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(what) => {
-                    shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                    send(
-                        tx,
-                        error_reply(id, &format!("unknown debug dump \"{what}\"")),
-                    );
-                }
-                None => {
-                    shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                    send(tx, error_reply(id, "debug requires a \"what\" field"));
-                }
-            }
-            true
+            let reply = match req.what.as_deref() {
+                Some("slow_requests") => debug_reply(shared, id),
+                Some(what) => error_reply(id, &format!("unknown debug dump \"{what}\"")),
+                None => error_reply(id, "debug requires a \"what\" field"),
+            };
+            send(shared, tx, reply);
         }
         Op::Shutdown => {
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
             send(
+                shared,
                 tx,
                 ReplyBuilder::new(id, "ok").str_field("draining", "true").finish(),
             );
             shared.begin_drain();
-            true
         }
         Op::SessionOpen => {
             if shared.draining() {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                send(tx, error_reply(id, "server is shutting down"));
-                return true;
+                send(shared, tx, error_reply(id, "server is shutting down"));
+                return;
             }
             if sessions.len() >= shared.opts.session_limit {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
                 send(
+                    shared,
                     tx,
                     error_reply(id, "session limit reached for this connection"),
                 );
-                return true;
+                return;
             }
-            let mut options = DecideOptions::default();
-            if let Some(mode) = req.mode {
-                options.mode = mode;
-            }
-            if let Some(cnf) = req.cnf {
-                options.cnf = cnf;
-            }
-            options.preprocess = req.preprocess;
             let session_id = shared.next_session.fetch_add(1, Ordering::Relaxed);
             let slot = Arc::new(SessionSlot {
                 session_id,
                 inner: Mutex::new(SlotInner {
-                    state: SlotState::Idle(Box::new(Session::new(options))),
+                    state: SlotState::Idle(Box::new(Session::new(request_options(&req)))),
                     pending: std::collections::VecDeque::new(),
                     scheduled: false,
                 }),
@@ -1088,22 +1054,19 @@ fn handle_payload(
             sessions.insert(session_id, slot);
             shared.open_sessions.fetch_add(1, Ordering::AcqRel);
             shared.c_sessions_opened.fetch_add(1, Ordering::Relaxed);
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
-            shared.gauges();
             sufsat_obs::event!("serve.session.open", conn = conn.conn_id, session = session_id);
             send(
+                shared,
                 tx,
                 ReplyBuilder::new(id, "ok").u64_field("session", session_id).finish(),
             );
-            true
         }
         Op::SessionAssert | Op::SessionPush | Op::SessionPop | Op::SessionCheck
         | Op::SessionClose => {
             let session_id = req.session.expect("validated by parse_request");
             let Some(slot) = sessions.get(&session_id).cloned() else {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                send(tx, error_reply(id, &format!("unknown session {session_id}")));
-                return true;
+                send(shared, tx, error_reply(id, &format!("unknown session {session_id}")));
+                return;
             };
             let kind = match req.op {
                 Op::SessionAssert => {
@@ -1123,28 +1086,21 @@ fn handle_payload(
                 // session alive (and tracked).
                 sessions.remove(&session_id);
             }
-            true
         }
         Op::Decide => {
             if shared.draining() {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                send(tx, error_reply(id, "server is shutting down"));
-                return true;
+                send(shared, tx, error_reply(id, "server is shutting down"));
+                return;
             }
-            let mut options = DecideOptions::default();
-            if let Some(mode) = req.mode {
-                options.mode = mode;
-            }
-            if let Some(cnf) = req.cnf {
-                options.cnf = cnf;
-            }
-            options.preprocess = req.preprocess;
             let cancel = CancelToken::new();
             let job_key = shared.next_job.fetch_add(1, Ordering::Relaxed);
             let job = Box::new(DecideJob {
                 id,
                 problem: req.problem.clone().expect("validated"),
-                options,
+                options: DecideOptions {
+                    cache: shared.cache.clone(),
+                    ..request_options(&req)
+                },
                 deadline: deadline_of(shared, &req),
                 cancel: cancel.clone(),
                 job_key,
@@ -1153,8 +1109,18 @@ fn handle_payload(
                 conn: Arc::clone(conn),
             });
             admit(shared, conn, job_key, cancel, id, Work::Decide(job), tx);
-            true
         }
+    }
+}
+
+/// The decide options a `decide` or `session-open` request asks for.
+fn request_options(req: &Request) -> DecideOptions {
+    let defaults = DecideOptions::default();
+    DecideOptions {
+        mode: req.mode.unwrap_or(defaults.mode),
+        cnf: req.cnf.unwrap_or(defaults.cnf),
+        preprocess: req.preprocess,
+        ..defaults
     }
 }
 
@@ -1163,6 +1129,27 @@ fn deadline_of(shared: &Shared, req: &Request) -> Option<Instant> {
         .map(Duration::from_millis)
         .or(shared.opts.default_deadline)
         .map(|d| Instant::now() + d)
+}
+
+/// Answers a request that the job queue or its session's backlog has no
+/// room for: the one place an `overloaded` reply is made.
+fn reject_overloaded(shared: &Shared, conn: &ConnShared, id: Option<u64>, tx: &Sender<Vec<u8>>) {
+    sufsat_obs::event!("serve.overloaded", conn = conn.conn_id);
+    send(shared, tx, overloaded_reply(id));
+}
+
+/// Answers a request the job queue refused.
+fn reject_push<T>(
+    shared: &Shared,
+    conn: &ConnShared,
+    id: Option<u64>,
+    err: &PushError<T>,
+    tx: &Sender<Vec<u8>>,
+) {
+    match err {
+        PushError::Full(_) => reject_overloaded(shared, conn, id, tx),
+        PushError::Draining(_) => send(shared, tx, error_reply(id, "server is shutting down")),
+    }
 }
 
 /// Registers the job as in-flight and pushes it; on rejection, rolls the
@@ -1175,32 +1162,15 @@ fn admit(
     id: Option<u64>,
     work: Work,
     tx: &Sender<Vec<u8>>,
-) -> bool {
+) {
     shared.inflight.fetch_add(1, Ordering::AcqRel);
     conn.live
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .insert(job_key, cancel);
-    match shared.queue.try_push(work) {
-        Ok(()) => {
-            shared.gauges();
-            true
-        }
-        Err(PushError::Full(_)) => {
-            rollback_admission(shared, conn, job_key);
-            shared.c_overloaded.fetch_add(1, Ordering::Relaxed);
-            static OVERLOADED: sufsat_obs::Counter = sufsat_obs::Counter::new("serve.overloaded");
-            OVERLOADED.incr();
-            sufsat_obs::event!("serve.overloaded", conn = conn.conn_id);
-            send(tx, overloaded_reply(id));
-            false
-        }
-        Err(PushError::Draining(_)) => {
-            rollback_admission(shared, conn, job_key);
-            shared.c_errors.fetch_add(1, Ordering::Relaxed);
-            send(tx, error_reply(id, "server is shutting down"));
-            false
-        }
+    if let Err(err) = shared.queue.try_push(work) {
+        rollback_admission(shared, conn, job_key);
+        reject_push(shared, conn, id, &err, tx);
     }
 }
 
@@ -1223,8 +1193,7 @@ fn enqueue_session_op(
 ) -> bool {
     let id = req.id;
     if shared.draining() {
-        shared.c_errors.fetch_add(1, Ordering::Relaxed);
-        send(tx, error_reply(id, "server is shutting down"));
+        send(shared, tx, error_reply(id, "server is shutting down"));
         return false;
     }
     let cancel = CancelToken::new();
@@ -1243,14 +1212,12 @@ fn enqueue_session_op(
         let mut inner = slot.inner.lock().unwrap_or_else(|e| e.into_inner());
         if matches!(inner.state, SlotState::Closed) {
             drop(inner);
-            shared.c_errors.fetch_add(1, Ordering::Relaxed);
-            send(tx, error_reply(id, "session already closed"));
+            send(shared, tx, error_reply(id, "session already closed"));
             return false;
         }
         if inner.pending.len() >= shared.opts.queue_cap {
             drop(inner);
-            shared.c_overloaded.fetch_add(1, Ordering::Relaxed);
-            send(tx, overloaded_reply(id));
+            reject_overloaded(shared, conn, id, tx);
             return false;
         }
         inner.pending.push_back(job);
@@ -1267,63 +1234,22 @@ fn enqueue_session_op(
         }
     };
     if !must_schedule {
-        shared.gauges();
         return true;
     }
-    match shared.queue.try_push(Work::Session(Arc::clone(slot))) {
-        Ok(()) => {
-            shared.gauges();
-            true
-        }
-        Err(err) => {
-            // Roll the op (and the schedule) back and reply.
-            let job = {
-                let mut inner = slot.inner.lock().unwrap_or_else(|e| e.into_inner());
-                inner.scheduled = false;
-                inner.pending.pop_back()
-            };
-            if let Some(job) = job {
-                rollback_admission(shared, conn, job.job_key);
-                match err {
-                    PushError::Full(_) => {
-                        shared.c_overloaded.fetch_add(1, Ordering::Relaxed);
-                        send(tx, overloaded_reply(job.id));
-                    }
-                    PushError::Draining(_) => {
-                        shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                        send(tx, error_reply(job.id, "server is shutting down"));
-                    }
-                }
-            }
-            false
-        }
+    let Err(err) = shared.queue.try_push(Work::Session(Arc::clone(slot))) else {
+        return true;
+    };
+    // Roll the op (and the schedule) back and reply.
+    let job = {
+        let mut inner = slot.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.scheduled = false;
+        inner.pending.pop_back()
+    };
+    if let Some(job) = job {
+        rollback_admission(shared, conn, job.job_key);
+        reject_push(shared, conn, job.id, &err, tx);
     }
-}
-
-fn stats_reply(shared: &Arc<Shared>, id: Option<u64>) -> Vec<u8> {
-    let c = shared.counters();
-    let counters = format!(
-        "{{\"requests\":{},\"ok\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\
-         \"deadline_expired\":{},\"cancelled\":{},\"panics\":{},\"sessions_opened\":{}}}",
-        c.requests,
-        c.ok,
-        c.errors,
-        c.overloaded,
-        c.timeouts,
-        c.deadline_expired,
-        c.cancelled,
-        c.panics,
-        c.sessions_opened,
-    );
-    ReplyBuilder::new(id, "ok")
-        .u64_field("uptime_us", shared.started.elapsed().as_micros() as u64)
-        .i64_field("inflight", shared.inflight.load(Ordering::Acquire))
-        .u64_field("queue_depth", shared.queue.len() as u64)
-        .i64_field("open_sessions", shared.open_sessions.load(Ordering::Acquire))
-        .i64_field("connections", shared.connections.load(Ordering::Acquire))
-        .str_field("state", if shared.draining() { "draining" } else { "running" })
-        .raw_field("counters", &counters)
-        .finish()
+    false
 }
 
 // ---- workers ----------------------------------------------------------
@@ -1341,7 +1267,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         // job's final counters to an idle worker.
         progress.clear();
         shared.worker_states[worker].store(WORKER_IDLE, Ordering::Relaxed);
-        shared.gauges();
         shared.maybe_signal_drained();
     }
     shared.workers_alive.fetch_sub(1, Ordering::AcqRel);
@@ -1355,31 +1280,19 @@ fn complete_job(shared: &Arc<Shared>, conn: &ConnShared, job_key: u64) {
     shared.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
-fn outcome_verdict(outcome: &Outcome) -> (&'static str, Option<&'static str>) {
-    match outcome {
-        Outcome::Valid => ("valid", None),
-        Outcome::Invalid(_) => ("invalid", None),
-        Outcome::Unknown(StopReason::TranslationBudget) => ("unknown", Some("translation_budget")),
-        Outcome::Unknown(StopReason::ConflictBudget) => ("unknown", Some("conflict_budget")),
-        Outcome::Unknown(StopReason::Timeout) => ("unknown", Some("timeout")),
-        Outcome::Unknown(StopReason::Cancelled) => ("unknown", Some("cancelled")),
-    }
-}
-
 fn verdict_reply(
     id: Option<u64>,
     outcome: &Outcome,
     time_us: u64,
     extra: &[(&str, u64)],
-    cache_status: Option<&str>,
+    cache_status: Option<CacheStatus>,
 ) -> Vec<u8> {
-    let (verdict, reason) = outcome_verdict(outcome);
-    let mut b = ReplyBuilder::new(id, "ok").str_field("verdict", verdict);
-    if let Some(reason) = reason {
-        b = b.str_field("reason", reason);
+    let mut b = ReplyBuilder::new(id, "ok").str_field("verdict", outcome.verdict());
+    if let Outcome::Unknown(reason) = outcome {
+        b = b.str_field("reason", reason.name());
     }
     if let Some(cache_status) = cache_status {
-        b = b.str_field("cache", cache_status);
+        b = b.str_field("cache", cache_status.label());
     }
     b = b.u64_field("time_us", time_us);
     for &(k, v) in extra {
@@ -1388,7 +1301,7 @@ fn verdict_reply(
     b.finish()
 }
 
-/// Accounts a finished solve in the counters and returns the reply.
+/// Accounts a finished solve's outcome in the detail counters.
 fn settle_outcome(shared: &Arc<Shared>, outcome: &Outcome) {
     match outcome {
         Outcome::Unknown(StopReason::Timeout) => {
@@ -1399,7 +1312,6 @@ fn settle_outcome(shared: &Arc<Shared>, outcome: &Outcome) {
         }
         _ => {}
     }
-    shared.c_ok.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Deadline bookkeeping at job start: `Ok(remaining)` to run with that
@@ -1417,7 +1329,6 @@ fn deadline_budget(
             if now >= deadline {
                 shared.c_deadline_expired.fetch_add(1, Ordering::Relaxed);
                 shared.c_timeouts.fetch_add(1, Ordering::Relaxed);
-                shared.c_ok.fetch_add(1, Ordering::Relaxed);
                 Err(verdict_reply(
                     id,
                     &Outcome::Unknown(StopReason::Timeout),
@@ -1442,7 +1353,6 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
         // `requests == ok + errors + overloaded`), with `cancelled`
         // recording the detail.
         shared.c_cancelled.fetch_add(1, Ordering::Relaxed);
-        shared.c_errors.fetch_add(1, Ordering::Relaxed);
         status = "cancelled";
         error_reply(job.id, "cancelled: client disconnected")
     } else {
@@ -1455,50 +1365,42 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
                 job.options.timeout = budget;
                 job.options.cancel = Some(job.cancel.clone());
                 job.options.progress = Some(progress.clone());
-                type DecideRun = Result<(Outcome, DecideStats, Option<&'static str>), String>;
-                let outcome = catch_unwind(AssertUnwindSafe(|| -> DecideRun {
+                let decision = catch_unwind(AssertUnwindSafe(|| -> Result<Decision, String> {
                     let mut tm = TermManager::new();
                     let phi = parse_problem(&mut tm, &job.problem)
                         .map_err(|e| format!("parse error: {e}"))?;
-                    if let Some(cache) = &shared.cache {
-                        let (outcome, stats, cache_status) =
-                            decide_through_cache(cache, &mut tm, phi, &job);
-                        Ok((outcome, stats, Some(cache_status)))
-                    } else {
-                        let d = decide(&mut tm, phi, &job.options);
-                        Ok((d.outcome, d.stats, None))
-                    }
+                    Ok(decide(&mut tm, phi, &job.options))
                 }));
-                match outcome {
-                    Ok(Ok((outcome, stats, cache_status))) => {
-                        settle_outcome(shared, &outcome);
-                        if cache_status == Some("hit") {
-                            shared
+                match decision {
+                    Ok(Ok(d)) => {
+                        settle_outcome(shared, &d.outcome);
+                        match d.cache {
+                            Some(CacheStatus::Hit) => shared
                                 .cache_hit_latency
-                                .record(started.elapsed().as_micros() as u64);
-                        } else if cache_status == Some("coalesced") {
-                            shared.c_cache_coalesced.fetch_add(1, Ordering::Relaxed);
+                                .record(started.elapsed().as_micros() as u64),
+                            Some(CacheStatus::Coalesced) => {
+                                shared.c_cache_coalesced.fetch_add(1, Ordering::Relaxed);
+                            }
+                            _ => {}
                         }
                         verdict_reply(
                             job.id,
-                            &outcome,
+                            &d.outcome,
                             started.elapsed().as_micros() as u64,
                             &[
-                                ("conflict_clauses", stats.conflict_clauses),
-                                ("cnf_clauses", stats.cnf_clauses),
+                                ("conflict_clauses", d.stats.conflict_clauses),
+                                ("cnf_clauses", d.stats.cnf_clauses),
                                 ("queue_us", queue_wait.as_micros() as u64),
                             ],
-                            cache_status,
+                            d.cache,
                         )
                     }
                     Ok(Err(message)) => {
-                        shared.c_errors.fetch_add(1, Ordering::Relaxed);
                         status = "error";
                         error_reply(job.id, &message)
                     }
                     Err(_) => {
                         shared.c_panics.fetch_add(1, Ordering::Relaxed);
-                        shared.c_errors.fetch_add(1, Ordering::Relaxed);
                         status = "panic";
                         error_reply(job.id, "internal error: solver panicked")
                     }
@@ -1523,114 +1425,8 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
         progress.snapshot(),
     );
     complete_job(shared, &job.conn, job.job_key);
-    send(&job.reply, reply_payload);
+    send(shared, &job.reply, reply_payload);
     drop(span);
-}
-
-/// Runs a decide through the daemon's result cache with single-flight
-/// dedup on the canonical fingerprint.
-///
-/// Returns the outcome, the stats the reply should report (a hit replays
-/// the original solve's counters), and the reply's `cache` field:
-/// `"hit"` (answered from the store), `"coalesced"` (waited on an
-/// identical in-flight solve) or `"miss"` (solved here).
-fn decide_through_cache(
-    cache: &Arc<ResultCache>,
-    tm: &mut TermManager,
-    phi: sufsat_suf::TermId,
-    job: &DecideJob,
-) -> (Outcome, DecideStats, &'static str) {
-    let canonical = canonicalize(tm, phi);
-    let fp = canonical.fingerprint;
-    if let Some(value) = cache.lookup(fp, &canonical.bytes) {
-        return (cached_outcome(&value), stats_from_digest(&value.digest), "hit");
-    }
-    match cache.join(fp, job.deadline) {
-        Joined::Leader(guard) => {
-            let d = decide(tm, phi, &job.options);
-            // A cancelled run says nothing about the formula and this
-            // request is being torn down: hand the flight to a waiting
-            // follower (promotion) instead of publishing a non-answer.
-            if matches!(d.outcome, Outcome::Unknown(_)) && job.cancel.is_cancelled() {
-                drop(guard);
-                return (d.outcome, d.stats, "miss");
-            }
-            let value = light_value(&d.outcome, &d.stats);
-            if let Some(value) = &value {
-                cache.insert(fp, &canonical.bytes, value.clone());
-            }
-            guard.complete(value);
-            (d.outcome, d.stats, "miss")
-        }
-        Joined::Done(Some(value)) => (
-            cached_outcome(&value),
-            stats_from_digest(&value.digest),
-            "coalesced",
-        ),
-        Joined::Done(None) => {
-            // The leader finished without a definitive verdict; solve it
-            // ourselves and cache the result if we do better.
-            let d = decide(tm, phi, &job.options);
-            if let Some(value) = light_value(&d.outcome, &d.stats) {
-                cache.insert(fp, &canonical.bytes, value);
-            }
-            (d.outcome, d.stats, "miss")
-        }
-        Joined::TimedOut => (
-            Outcome::Unknown(StopReason::Timeout),
-            DecideStats::default(),
-            "miss",
-        ),
-    }
-}
-
-/// Rebuilds the reply-relevant outcome from a cached value. The daemon
-/// stores verdict-only entries — replies never carry models — so an
-/// `Invalid` hit surfaces an empty assignment.
-fn cached_outcome(value: &CacheValue) -> Outcome {
-    match value.verdict {
-        CachedVerdict::Valid => Outcome::Valid,
-        CachedVerdict::Invalid => Outcome::Invalid(SepAssignment::default()),
-    }
-}
-
-/// Replays the original solve's counters so reply extras stay truthful.
-fn stats_from_digest(digest: &StatsDigest) -> DecideStats {
-    let mut stats = DecideStats::default();
-    stats.dag_size = digest.dag_size as usize;
-    stats.cnf_clauses = digest.cnf_clauses;
-    stats.conflict_clauses = digest.conflict_clauses;
-    stats.decisions = digest.decisions;
-    stats.propagations = digest.propagations;
-    stats.sep_predicates = digest.sep_predicates as usize;
-    stats.translate_time = std::time::Duration::from_micros(digest.translate_time_us);
-    stats.sat_time = std::time::Duration::from_micros(digest.solve_time_us);
-    stats
-}
-
-/// The verdict-only cacheable projection of a finished solve, or `None`
-/// when the outcome is not definitive.
-fn light_value(outcome: &Outcome, stats: &DecideStats) -> Option<CacheValue> {
-    let verdict = match outcome {
-        Outcome::Valid => CachedVerdict::Valid,
-        Outcome::Invalid(_) => CachedVerdict::Invalid,
-        Outcome::Unknown(_) => return None,
-    };
-    Some(CacheValue {
-        verdict,
-        int_model: Vec::new(),
-        bool_model: Vec::new(),
-        digest: StatsDigest {
-            dag_size: stats.dag_size as u64,
-            cnf_clauses: stats.cnf_clauses,
-            conflict_clauses: stats.conflict_clauses,
-            decisions: stats.decisions,
-            propagations: stats.propagations,
-            sep_predicates: stats.sep_predicates as u64,
-            translate_time_us: stats.translate_time.as_micros() as u64,
-            solve_time_us: stats.sat_time.as_micros() as u64,
-        },
-    })
 }
 
 fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &ProgressHandle) {
@@ -1674,7 +1470,6 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
         let mut status = "ok";
         let (payload, fate) = match session {
             None => {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
                 status = "error";
                 (
                     error_reply(job.id, "session already closed"),
@@ -1687,7 +1482,6 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
                     // error reply is the terminal counter, `cancelled`
                     // is the detail.
                     shared.c_cancelled.fetch_add(1, Ordering::Relaxed);
-                    shared.c_errors.fetch_add(1, Ordering::Relaxed);
                     status = "cancelled";
                     (
                         error_reply(job.id, "cancelled: client disconnected"),
@@ -1706,7 +1500,6 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
                             // be trusted: poison it.
                             drop(session);
                             shared.c_panics.fetch_add(1, Ordering::Relaxed);
-                            shared.c_errors.fetch_add(1, Ordering::Relaxed);
                             (
                                 error_reply(
                                     job.id,
@@ -1754,7 +1547,7 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
             progress.snapshot(),
         );
         complete_job(shared, &job.conn, job.job_key);
-        send(&job.reply, payload);
+        send(shared, &job.reply, payload);
         // One slot drain can run many ops; reset the heartbeat so the
         // next op starts from a clean snapshot.
         progress.clear();
@@ -1773,17 +1566,12 @@ fn execute_session_op(
         SessionOpKind::Assert(problem) => {
             let t = match parse_problem(session.term_manager_mut(), problem) {
                 Ok(t) => t,
-                Err(e) => {
-                    shared.c_errors.fetch_add(1, Ordering::Relaxed);
-                    return error_reply(job.id, &format!("parse error: {e}"));
-                }
+                Err(e) => return error_reply(job.id, &format!("parse error: {e}")),
             };
             if session.term_manager().sort(t) != Sort::Bool {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
                 return error_reply(job.id, "assertions must be Boolean-sorted");
             }
             let aid = session.assert(t);
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
             ReplyBuilder::new(job.id, "ok")
                 .u64_field("assertion", aid.index() as u64)
                 .u64_field("live", session.num_assertions() as u64)
@@ -1791,18 +1579,15 @@ fn execute_session_op(
         }
         SessionOpKind::Push => {
             session.push();
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
             ReplyBuilder::new(job.id, "ok")
                 .u64_field("depth", session.depth() as u64)
                 .finish()
         }
         SessionOpKind::Pop => {
             if session.depth() == 0 {
-                shared.c_errors.fetch_add(1, Ordering::Relaxed);
                 return error_reply(job.id, "pop without a matching push");
             }
             session.pop();
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
             ReplyBuilder::new(job.id, "ok")
                 .u64_field("depth", session.depth() as u64)
                 .finish()
@@ -1833,7 +1618,6 @@ fn execute_session_op(
             )
         }
         SessionOpKind::Close => {
-            shared.c_ok.fetch_add(1, Ordering::Relaxed);
             sufsat_obs::event!("serve.session.close", session = session_id);
             ReplyBuilder::new(job.id, "ok").finish()
         }
@@ -1843,7 +1627,8 @@ fn execute_session_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{reply_status, Client};
+    use sufsat_obs::json::{self, Json};
 
     /// Connection threads whose handles the acceptor holds.
     fn retained_handles(server: &ServerHandle) -> usize {
@@ -1884,6 +1669,115 @@ mod tests {
             );
             cycle();
             extra += 1;
+        }
+        server.shutdown();
+    }
+
+    /// `decide` of the pigeonhole formula with `pigeons` pigeons, whose
+    /// search keeps a worker busy far longer than a test runs.
+    fn php_decide(pigeons: usize) -> String {
+        let p = |i| format!("p{i}");
+        let h = |j| format!("h{j}");
+        let vars: Vec<String> = (0..pigeons).map(p).chain((1..pigeons).map(h)).collect();
+        let mut conj = String::new();
+        for i in 0..pigeons {
+            let alt: String = (1..pigeons).map(|j| format!(" (= {} {})", p(i), h(j))).collect();
+            conj.push_str(&format!(" (or{alt})"));
+            for k in i + 1..pigeons {
+                conj.push_str(&format!(" (not (= {} {}))", p(i), p(k)));
+            }
+        }
+        let problem = format!("(vars {}) (formula (not (and{conj})))", vars.join(" "));
+        let mut msg = String::from("{\"op\":\"decide\",\"timeout_ms\":60000,\"problem\":");
+        json::escape_into(&mut msg, &problem);
+        msg.push('}');
+        msg
+    }
+
+    #[test]
+    fn every_overload_path_is_counted_and_traced() {
+        // Sized so that no record of this binary's tests is evicted.
+        let ring = Arc::new(sufsat_obs::RingSink::new(1 << 20));
+        sufsat_obs::install(ring.clone());
+        let opts = ServeOptions {
+            workers: 1,
+            queue_cap: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+        let addr = server.local_addr();
+        let mut holder = Client::connect(addr).expect("connect");
+        holder.send_raw(php_decide(12).as_bytes()).expect("send");
+        while server.shared.worker_info()[0].0 != "busy" {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut client = Client::connect(addr).expect("connect");
+        let mut open = || {
+            let reply = client.call(r#"{"op":"session-open"}"#).expect("session-open");
+            reply.get("session").and_then(Json::as_u64).expect("session id")
+        };
+        let (a, b) = (open(), open());
+        // A's first op takes the free queue slot, so its second finds A's
+        // backlog full; B's op and the decide then find the queue full.
+        for request in [
+            format!(r#"{{"op":"session-push","session":{a}}}"#),
+            format!(r#"{{"op":"session-push","session":{a}}}"#),
+            format!(r#"{{"op":"session-push","session":{b}}}"#),
+            r#"{"op":"decide","problem":"(vars x) (formula (= x x))"}"#.to_owned(),
+        ] {
+            client.send_raw(request.as_bytes()).expect("send");
+        }
+        for _ in 0..3 {
+            let reply = client.read_reply().expect("reply");
+            assert_eq!(reply_status(&reply), "overloaded", "{reply:?}");
+        }
+        drop(holder);
+        drop(client);
+        let report = server.shutdown();
+        let events = ring
+            .lines()
+            .iter()
+            .filter(|line| line.contains(r#""name":"serve.overloaded""#))
+            .count();
+        sufsat_obs::shutdown();
+        assert_eq!(events, 3);
+        assert_eq!(report.counters.overloaded, 3);
+        let c = &report.counters;
+        assert_eq!(c.requests, c.ok + c.errors + c.overloaded, "{c:?}");
+    }
+
+    #[test]
+    fn every_json_counter_has_a_prometheus_family() {
+        let opts = ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+        let reply = crate::metrics::metrics_reply(&server.shared, None);
+        let reply = json::parse(std::str::from_utf8(&reply).expect("UTF-8")).expect("JSON");
+        let scrape = crate::metrics::render_prometheus(&server.shared);
+        let families: Vec<&str> = scrape
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter_map(|line| line.split(' ').next())
+            .collect();
+        let keys = |block: &str| match reply.get(block) {
+            Some(Json::Obj(members)) => members.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("`{block}` is not an object: {other:?}"),
+        };
+        let counters: Vec<String> = keys("counters");
+        assert_eq!(counters.len(), 9);
+        for k in counters {
+            let family = format!("sufsat_{k}_total");
+            assert!(families.contains(&family.as_str()), "no {family}:\n{scrape}");
+        }
+        // A cache figure is a `_total` counter or a gauge of its own name.
+        for k in keys("cache") {
+            let (counter, gauge) = (format!("sufsat_cache_{k}_total"), format!("sufsat_cache_{k}"));
+            assert!(
+                families.contains(&counter.as_str()) || families.contains(&gauge.as_str()),
+                "no family for cache figure {k}:\n{scrape}"
+            );
         }
         server.shutdown();
     }

@@ -104,10 +104,12 @@ awk -F, '
 echo "==> serve: concurrency + soak battery (mixed clients, disconnects, overload)"
 cargo test -q --release --test serve_session
 
-echo "==> serve: the same battery 10 times while two busy loops compete for the cores"
+echo "==> serve, core and obs: 10 runs while two busy loops compete for the cores"
 # Deadline and disconnect tests race the daemon's accounting against the
-# clock; contention for the cores brings out orderings an idle host
-# rarely shows. The trap stops the busy loops however this stage ends.
+# clock, core's single-flight tests race a held flight against a waiting
+# decide, and obs times its disabled fast path; contention for the cores
+# brings out orderings an idle host rarely shows. The trap stops the busy
+# loops however this stage ends.
 hogs=()
 trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
 for _ in 1 2; do
@@ -115,8 +117,9 @@ for _ in 1 2; do
     hogs+=("$!")
 done
 for run in $(seq 1 10); do
-    echo "--> serve_session under load, run ${run} of 10"
+    echo "--> serve_session, sufsat-core and sufsat-obs under load, run ${run} of 10"
     cargo test -q --release --test serve_session
+    cargo test -q --release -p sufsat-core -p sufsat-obs
 done
 kill "${hogs[@]}"
 wait "${hogs[@]}" 2>/dev/null || true
