@@ -210,13 +210,6 @@ impl Session {
         self.options.timeout = timeout;
     }
 
-    /// Sets (or clears) the cancellation token polled by subsequent
-    /// [`check`](Session::check) calls, so an external party (e.g. a
-    /// server noticing a client disconnect) can abort a running solve.
-    pub fn set_cancel_token(&mut self, cancel: Option<sufsat_sat::CancelToken>) {
-        self.options.cancel = cancel;
-    }
-
     /// Sets (or clears) the progress heartbeat handle installed into the
     /// solver by subsequent [`check`](Session::check) calls, so an
     /// external thread can watch a long search live (see

@@ -11,10 +11,11 @@
 //!   `core.decide`, `serve.request`, …), nested via a per-thread stack.
 //! * **Point events** with typed fields ([`event`] / [`event!`]) — class
 //!   method decisions, solver results, cache hits, oracle verdicts.
-//! * **Named atomic counters and gauges** ([`Counter`], [`Gauge`]) — e.g.
-//!   cumulative SAT conflicts across a whole evaluation run.
-//! * **Pluggable sinks** ([`Sink`]) — JSON-lines to a file or stderr,
-//!   human-readable text, an in-memory ring buffer, or a tee of several.
+//! * **Named atomic counters** ([`Counter`]) and **histograms**
+//!   ([`Histogram`]) — e.g. cumulative SAT conflicts across a whole
+//!   evaluation run.
+//! * **Pluggable sinks** ([`Sink`]) — JSON-lines to a file or stderr, or
+//!   an in-memory ring buffer.
 //!
 //! # The disabled fast path
 //!
@@ -59,9 +60,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 pub use histogram::{Histogram, HistogramBins, HistogramSnapshot, RollingWindow, NUM_BUCKETS};
-pub use metrics::{counter_add, emit_counter_records, metrics_snapshot, Counter, Gauge};
+pub use metrics::{emit_counter_records, metrics_snapshot, Counter};
 pub use record::{Kind, Record, Value};
-pub use sink::{render_json, render_text, JsonLinesSink, NoopSink, RingSink, Sink, TeeSink, TextSink};
+pub use sink::{render_json, JsonLinesSink, NoopSink, RingSink, Sink};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
@@ -368,17 +369,13 @@ mod tests {
     fn counters_register_lazily_and_accumulate() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         static UNIT_TEST_COUNTER: Counter = Counter::new("obs.unit_test_counter");
-        static UNIT_TEST_GAUGE: Gauge = Gauge::new("obs.unit_test_gauge");
         UNIT_TEST_COUNTER.add(100); // disabled: ignored
         assert_eq!(UNIT_TEST_COUNTER.value(), 0);
         let ring = Arc::new(RingSink::new(64));
         install(ring.clone());
         UNIT_TEST_COUNTER.add(2);
         UNIT_TEST_COUNTER.incr();
-        UNIT_TEST_GAUGE.set(-5);
-        counter_add("obs.unit_test_dynamic", 4);
         assert_eq!(UNIT_TEST_COUNTER.value(), 3);
-        assert_eq!(UNIT_TEST_GAUGE.value(), -5);
         let snapshot = metrics_snapshot();
         let find = |name: &str| {
             snapshot
@@ -387,8 +384,6 @@ mod tests {
                 .map(|(_, v)| *v)
         };
         assert_eq!(find("obs.unit_test_counter"), Some(3));
-        assert_eq!(find("obs.unit_test_gauge"), Some(-5));
-        assert_eq!(find("obs.unit_test_dynamic"), Some(4));
         emit_counter_records();
         shutdown();
         assert!(ring

@@ -1,20 +1,19 @@
-//! Named atomic counters and gauges.
+//! Named atomic counters.
 //!
-//! A [`Counter`] or [`Gauge`] is declared as a `static` at the use site;
+//! A [`Counter`] is declared as a `static` at the use site;
 //! the first update while tracing is enabled registers it in the global
 //! registry (one short-lived lock, once per site), after which every
 //! update is a single relaxed atomic RMW. While tracing is disabled,
 //! updates return after one relaxed atomic load — no lock, no allocation,
 //! no registration.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::histogram::HistogramBins;
 
 enum Metric {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicI64>),
     Histogram(Arc<HistogramBins>),
 }
 
@@ -31,20 +30,6 @@ fn register_counter(name: &'static str) -> Arc<AtomicU64> {
     }
     let cell = Arc::new(AtomicU64::new(0));
     registry.push((name, Metric::Counter(Arc::clone(&cell))));
-    cell
-}
-
-fn register_gauge(name: &'static str) -> Arc<AtomicI64> {
-    let mut registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    for (existing, metric) in registry.iter() {
-        if *existing == name {
-            if let Metric::Gauge(cell) = metric {
-                return Arc::clone(cell);
-            }
-        }
-    }
-    let cell = Arc::new(AtomicI64::new(0));
-    registry.push((name, Metric::Gauge(Arc::clone(&cell))));
     cell
 }
 
@@ -106,52 +91,7 @@ impl Counter {
     }
 }
 
-/// A named gauge holding the last value set.
-pub struct Gauge {
-    name: &'static str,
-    slot: OnceLock<Arc<AtomicI64>>,
-}
-
-impl Gauge {
-    /// Declares a gauge. Registration is deferred to the first update with
-    /// tracing enabled.
-    pub const fn new(name: &'static str) -> Gauge {
-        Gauge {
-            name,
-            slot: OnceLock::new(),
-        }
-    }
-
-    /// Sets the gauge. A no-op (one atomic load) while tracing is disabled.
-    pub fn set(&self, value: i64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.slot
-            .get_or_init(|| register_gauge(self.name))
-            .store(value, Ordering::Relaxed);
-    }
-
-    /// The current value (0 if never registered).
-    pub fn value(&self) -> i64 {
-        self.slot
-            .get()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
-}
-
-/// Adds `delta` to the counter named `name` (dynamic-name variant: takes
-/// the registry lock on every call, so prefer a `static` [`Counter`] on
-/// hot paths). A no-op while tracing is disabled.
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    register_counter(name).fetch_add(delta, Ordering::Relaxed);
-}
-
 /// A point-in-time copy of every registered metric, sorted by name.
-/// Gauges are reported alongside counters with their `i64` value widened.
 /// A histogram contributes derived entries: `<name>.count`, `<name>.p50`,
 /// `<name>.p95`, `<name>.p99` and `<name>.max`.
 pub fn metrics_snapshot() -> Vec<(String, i64)> {
@@ -160,7 +100,6 @@ pub fn metrics_snapshot() -> Vec<(String, i64)> {
     for (name, metric) in registry.iter() {
         match metric {
             Metric::Counter(c) => out.push(((*name).to_owned(), c.load(Ordering::Relaxed) as i64)),
-            Metric::Gauge(g) => out.push(((*name).to_owned(), g.load(Ordering::Relaxed))),
             Metric::Histogram(h) => {
                 let snap = h.snapshot();
                 out.push((format!("{name}.count"), snap.count() as i64));

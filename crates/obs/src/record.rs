@@ -1,8 +1,6 @@
 //! The record model shared by every sink: one trace is a sequence of
 //! [`Record`]s, each a span boundary, a point event, or a counter dump.
 
-use std::fmt;
-
 /// What a [`Record`] describes.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub enum Kind {
@@ -55,18 +53,6 @@ pub enum Value<'a> {
     Bool(bool),
     /// Borrowed string.
     Str(&'a str),
-}
-
-impl fmt::Display for Value<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::U64(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v}"),
-        }
-    }
 }
 
 macro_rules! value_from {

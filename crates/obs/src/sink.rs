@@ -1,18 +1,17 @@
 //! Pluggable trace sinks.
 //!
 //! A [`Sink`] receives every [`Record`] emitted while tracing is enabled.
-//! The built-in sinks cover the three needs of the pipeline: human-readable
-//! text for interactive debugging ([`TextSink`]), machine-readable
+//! The built-in sinks cover the two needs of the pipeline: machine-readable
 //! JSON-lines for the `report`/`check-trace` tools ([`JsonLinesSink`]),
 //! and an in-memory ring buffer for tests and post-mortem capture
-//! ([`RingSink`]). [`TeeSink`] fans one stream out to several sinks.
+//! ([`RingSink`]).
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json;
 use crate::record::{Kind, Record};
@@ -78,36 +77,6 @@ pub fn render_json(record: &Record<'_>) -> String {
         line.push('}');
     }
     line.push('}');
-    line
-}
-
-/// Renders `record` as one human-readable line.
-pub fn render_text(record: &Record<'_>) -> String {
-    let mut line = String::with_capacity(96);
-    let _ = write!(line, "[{:>10.3}ms] ", record.ts_us as f64 / 1000.0);
-    match record.kind {
-        Kind::SpanOpen => {
-            let _ = write!(line, "open  #{:<4} {}", record.span, record.name);
-        }
-        Kind::SpanClose => {
-            let _ = write!(
-                line,
-                "close #{:<4} {} ({:.3}ms)",
-                record.span,
-                record.name,
-                record.dur_us.unwrap_or(0) as f64 / 1000.0
-            );
-        }
-        Kind::Event => {
-            let _ = write!(line, "event       {}", record.name);
-        }
-        Kind::Counter => {
-            let _ = write!(line, "counter     {}", record.name);
-        }
-    }
-    for (key, value) in record.fields {
-        let _ = write!(line, " {key}={value}");
-    }
     line
 }
 
@@ -179,43 +148,6 @@ impl Sink for JsonLinesSink {
     }
 }
 
-/// Human-readable sink writing to a file or stderr.
-pub struct TextSink {
-    target: Mutex<Target>,
-}
-
-impl TextSink {
-    /// Creates (truncating) the trace file at `path`.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<TextSink> {
-        let file = File::create(path)?;
-        Ok(TextSink {
-            target: Mutex::new(Target::File(BufWriter::new(file))),
-        })
-    }
-
-    /// Writes text lines to stderr.
-    pub fn stderr() -> TextSink {
-        TextSink {
-            target: Mutex::new(Target::Stderr),
-        }
-    }
-}
-
-impl Sink for TextSink {
-    fn record(&self, record: &Record<'_>) {
-        let line = render_text(record);
-        if let Ok(mut target) = self.target.lock() {
-            target.write_line(&line);
-        }
-    }
-
-    fn flush(&self) {
-        if let Ok(mut target) = self.target.lock() {
-            target.flush();
-        }
-    }
-}
-
 /// Thread-safe bounded ring buffer of rendered JSON lines: keeps the most
 /// recent `capacity` records in memory. Used by the test suite and handy
 /// as a flight recorder around a failure.
@@ -267,32 +199,6 @@ impl Sink for RingSink {
                 lines.pop_front();
             }
             lines.push_back(line);
-        }
-    }
-}
-
-/// Fans every record out to several sinks.
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn Sink>>,
-}
-
-impl TeeSink {
-    /// A tee over `sinks`, notified in order.
-    pub fn new(sinks: Vec<Arc<dyn Sink>>) -> TeeSink {
-        TeeSink { sinks }
-    }
-}
-
-impl Sink for TeeSink {
-    fn record(&self, record: &Record<'_>) {
-        for sink in &self.sinks {
-            sink.record(record);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
         }
     }
 }
@@ -353,13 +259,5 @@ mod tests {
         assert!(lines[2].contains("\"i\":9"));
         ring.clear();
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn text_rendering_mentions_fields() {
-        let fields = [("mode", Value::Str("sd"))];
-        let line = render_text(&sample(&fields));
-        assert!(line.contains("unit.test"));
-        assert!(line.contains("mode=sd"));
     }
 }

@@ -30,7 +30,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 static HOT_COUNTER: sufsat_obs::Counter = sufsat_obs::Counter::new("test.hot_counter");
-static HOT_GAUGE: sufsat_obs::Gauge = sufsat_obs::Gauge::new("test.hot_gauge");
 static HOT_HIST: sufsat_obs::Histogram = sufsat_obs::Histogram::new("test.hot_hist");
 
 #[test]
@@ -54,7 +53,6 @@ fn disabled_instrumentation_never_allocates() {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for i in 0..100_000u64 {
             HOT_COUNTER.add(i);
-            HOT_GAUGE.set(i as i64);
             HOT_HIST.record(i);
             let span = sufsat_obs::span_with!("test.span", iteration = i);
             assert!(!span.is_recording());
@@ -72,7 +70,6 @@ fn disabled_instrumentation_never_allocates() {
     // Nothing registered either: the metrics registry stayed empty and the
     // counter never left zero.
     assert_eq!(HOT_COUNTER.value(), 0);
-    assert_eq!(HOT_GAUGE.value(), 0);
     assert_eq!(HOT_HIST.snapshot().count(), 0);
     assert!(sufsat_obs::metrics_snapshot().is_empty());
 }

@@ -13,9 +13,13 @@
 //! * a bounded MPMC **job queue** provides admission control — a full
 //!   queue answers `overloaded` immediately ([`ServeOptions::queue_cap`]);
 //! * per-request **deadlines** (`timeout_ms`, counted from admission)
-//!   propagate into [`sufsat_sat::Solver::set_timeout`] and a per-job
-//!   [`sufsat_sat::CancelToken`], so queue wait and search share one
-//!   budget and a disconnecting client frees its lane promptly;
+//!   propagate into [`sufsat_sat::Solver::set_timeout`], so queue wait
+//!   and search share one budget;
+//! * each **connection** is served by one thread and carries one
+//!   [`sufsat_sat::CancelToken`], shared by its decides and sessions: a
+//!   disconnecting client frees its lanes promptly, and one that stops
+//!   reading its replies is cut off after a 2 s write stall instead of
+//!   having them queued;
 //! * **incremental sessions** ([`sufsat_incremental::Session`]) are
 //!   owned by the connection that opened them and reclaimed when it
 //!   goes away;
@@ -46,6 +50,7 @@
 
 pub mod protocol;
 mod metrics;
+mod poll;
 mod queue;
 mod server;
 mod client;

@@ -1,19 +1,27 @@
-//! The resident daemon: acceptor, connection readers/writers, the
-//! worker pool, admission control, deadline propagation and graceful
-//! drain-then-stop shutdown.
+//! The resident daemon: acceptor, connection threads, the worker pool,
+//! admission control, deadline propagation and graceful drain-then-stop
+//! shutdown.
 //!
 //! # Threads
 //!
-//! * one **acceptor** blocks in `TcpListener::accept` and spawns a
-//!   reader/writer thread pair per connection;
-//! * each connection **reader** parses frames and *admits* jobs — it
-//!   never executes a solve itself, so it stays responsive and notices
+//! * one **acceptor** blocks in `TcpListener::accept` and spawns one
+//!   thread per connection;
+//! * each connection's thread is its **reader**: it parses frames,
+//!   *admits* jobs and writes every reply of the connection — it never
+//!   executes a solve itself, so it stays responsive and notices
 //!   disconnects promptly even while this client's solve is running;
-//! * each connection **writer** drains a channel of reply frames, so
-//!   workers never block on a slow client socket;
 //! * `workers` **solver threads** pull jobs from the bounded
 //!   [`JobQueue`] and run them against the `sufsat-core` /
 //!   `sufsat-incremental` stack.
+//!
+//! A worker never touches a client's socket. It leaves its reply in the
+//! connection's outbox and wakes the reader through a socket pair; the
+//! reader waits in `poll(2)` on that pair and on the client's socket at
+//! once, and writes whatever the outbox holds before it waits or reads
+//! again. A client that stops reading pushes back through TCP instead of
+//! growing a queue: it holds up only its own reader, and a write of the
+//! outbox that has not finished within the 2 s write timeout ends the
+//! connection.
 //!
 //! # Admission control
 //!
@@ -25,10 +33,12 @@
 //! # Deadlines and cancellation
 //!
 //! A request's `timeout_ms` starts at admission. The worker propagates
-//! whatever remains into [`Solver::set_timeout`]-backed options and a
-//! per-job [`CancelToken`]. A client that disconnects mid-solve has all
-//! of its in-flight tokens cancelled by the reader's cleanup, so its
-//! lane frees up within the solver's cancellation-poll latency.
+//! whatever remains into [`Solver::set_timeout`]-backed options. Each
+//! connection has one [`CancelToken`], carried by every decide and
+//! session it opens. The reader's cleanup raises it when the client
+//! disconnects, so the connection's running solves stop within the
+//! solver's cancellation-poll latency and its queued jobs are retired
+//! when a worker reaches them.
 //!
 //! # Session ownership
 //!
@@ -42,11 +52,11 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,6 +74,7 @@ use crate::protocol::{
     error_reply, overloaded_reply, parse_request, payload_status, read_frame, write_frame,
     FrameError, Op, ReplyBuilder, Request, DEFAULT_MAX_FRAME,
 };
+use crate::poll::wait_readable;
 use crate::queue::{JobQueue, PushError};
 
 /// Configuration of a [`Server`].
@@ -198,10 +209,9 @@ const SLOW_LOG_CAP: usize = 8;
 /// the since-start histogram.
 const LATENCY_WINDOW: Duration = Duration::from_secs(10);
 
-/// How long the stop lets connection writers flush the replies queued
-/// before it, after which the sockets of clients that stopped reading
-/// are closed outright.
-const CLOSE_LINGER: Duration = Duration::from_secs(2);
+/// How long the reader may take to write the replies it holds before it
+/// cuts a client that stopped reading off.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One slow-request record: what ran, how long it waited and executed,
 /// and the solver's last progress heartbeat when it finished.
@@ -225,14 +235,16 @@ pub(crate) struct Shared {
     open_sessions: AtomicI64,
     connections: AtomicI64,
     next_session: AtomicU64,
-    next_job: AtomicU64,
+    next_conn: AtomicU64,
     started: Instant,
     done: Mutex<bool>,
     done_cv: Condvar,
+    /// When the stop began half-closing connections: no reply is written
+    /// later than [`WRITE_TIMEOUT`] after it.
+    stopped_at: OnceLock<Instant>,
+    /// A handle on every open connection's socket, for the stop to
+    /// half-close.
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
-    /// Signalled whenever a connection thread removes its stream from
-    /// `conn_streams` on the way out.
-    conn_closed: Condvar,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
     c_requests: AtomicU64,
     c_ok: AtomicU64,
@@ -307,6 +319,14 @@ impl Shared {
             self.queue.begin_drain();
             self.maybe_signal_drained();
         }
+    }
+
+    /// When a write of replies that starts now gives up: one write
+    /// timeout from now, or from the stop if that came first, so that the
+    /// stop never waits on a client for longer.
+    fn write_deadline(&self) -> Instant {
+        let now = Instant::now();
+        self.stopped_at.get().map_or(now, |&t| t.min(now)) + WRITE_TIMEOUT
     }
 
     fn maybe_signal_drained(&self) {
@@ -484,20 +504,16 @@ impl Shared {
 /// this connection's jobs, and cleanup.
 struct ConnShared {
     conn_id: u64,
-    /// Cancel tokens of this connection's in-flight jobs, keyed by job
-    /// id. Cleanup cancels them all so a disconnect retires its lanes.
-    live: Mutex<HashMap<u64, CancelToken>>,
-    dead: std::sync::atomic::AtomicBool,
-}
-
-impl ConnShared {
-    fn new(conn_id: u64) -> ConnShared {
-        ConnShared {
-            conn_id,
-            live: Mutex::new(HashMap::new()),
-            dead: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
+    /// Raised when the connection is lost. Every decide and session of
+    /// the connection carries it, so one raise retires all their work.
+    cancel: CancelToken,
+    /// Reply frames not yet written, in the order they were sent. Only
+    /// the reader writes them to the socket.
+    outbox: Mutex<Vec<u8>>,
+    /// A connected pair, both ends non-blocking: a worker that leaves a
+    /// reply in an empty outbox writes a byte to the first, and the
+    /// reader polls the second next to the client's socket.
+    wake: (UnixStream, UnixStream),
 }
 
 enum SlotState {
@@ -542,10 +558,7 @@ struct SessionOpJob {
     id: Option<u64>,
     kind: SessionOpKind,
     deadline: Option<Instant>,
-    cancel: CancelToken,
-    job_key: u64,
     admitted_at: Instant,
-    reply: Sender<Vec<u8>>,
     conn: Arc<ConnShared>,
 }
 
@@ -554,10 +567,7 @@ struct DecideJob {
     problem: String,
     options: DecideOptions,
     deadline: Option<Instant>,
-    cancel: CancelToken,
-    job_key: u64,
     admitted_at: Instant,
-    reply: Sender<Vec<u8>>,
     conn: Arc<ConnShared>,
 }
 
@@ -596,12 +606,12 @@ impl Server {
             open_sessions: AtomicI64::new(0),
             connections: AtomicI64::new(0),
             next_session: AtomicU64::new(1),
-            next_job: AtomicU64::new(1),
+            next_conn: AtomicU64::new(1),
             started: Instant::now(),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
+            stopped_at: OnceLock::new(),
             conn_streams: Mutex::new(HashMap::new()),
-            conn_closed: Condvar::new(),
             conn_handles: Mutex::new(Vec::new()),
             c_requests: AtomicU64::new(0),
             c_ok: AtomicU64::new(0),
@@ -755,28 +765,25 @@ impl ServerHandle {
             }
             let _ = metrics_thread.join();
         }
-        // Half-close the client connections: each reader sees EOF and
-        // exits, and each writer then flushes every reply queued so far —
-        // the `shutdown` op's own `ok` among them — before its socket
-        // closes. A writer blocked on a client that stopped reading is
-        // cut off by the full close after the linger.
+        // Every admitted job is complete, but its reply may still be on
+        // the way to an outbox: join the workers, which the drained queue
+        // releases and no client can hold, before any reader sees EOF.
+        for w in std::mem::take(&mut self.workers) {
+            let _ = w.join();
+        }
+        // Half-close the client connections: each reader sees EOF, writes
+        // the replies it holds — the `shutdown` op's own `ok` among them —
+        // and exits. One whose client stopped reading gives up one write
+        // timeout from now at the latest.
+        let _ = self.shared.stopped_at.set(Instant::now());
+        for stream in self
+            .shared
+            .conn_streams
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
         {
-            let streams = self
-                .shared
-                .conn_streams
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for stream in streams.values() {
-                let _ = stream.shutdown(std::net::Shutdown::Read);
-            }
-            let (streams, _) = self
-                .shared
-                .conn_closed
-                .wait_timeout_while(streams, CLOSE_LINGER, |s| !s.is_empty())
-                .unwrap_or_else(|e| e.into_inner());
-            for stream in streams.values() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
+            let _ = stream.shutdown(Shutdown::Read);
         }
         let conn_handles = std::mem::take(
             &mut *self
@@ -787,9 +794,6 @@ impl ServerHandle {
         );
         for h in conn_handles {
             let _ = h.join();
-        }
-        for w in std::mem::take(&mut self.workers) {
-            let _ = w.join();
         }
         let report = ServeReport {
             inflight: self.shared.inflight.load(Ordering::Acquire),
@@ -829,7 +833,7 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
             let _ = write_frame(&mut s, &error_reply(None, "server is shutting down"));
             continue;
         }
-        let conn_id = shared.next_job.fetch_add(1, Ordering::Relaxed);
+        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             shared
                 .conn_streams
@@ -856,92 +860,125 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
 
 fn serve_connection(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let conn = Arc::new(ConnShared::new(conn_id));
-    let mut sessions: HashMap<u64, Arc<SessionSlot>> = HashMap::new();
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
-    let writer = match stream.try_clone() {
-        Ok(write_half) => Some(
-            std::thread::Builder::new()
-                .name(format!("sufsat-conn-{conn_id}-w"))
-                .spawn(move || writer_loop(write_half, rx))
-                .expect("spawn connection writer"),
-        ),
-        Err(_) => None,
-    };
-    if writer.is_some() {
+    let wake = UnixStream::pair().and_then(|(tx, rx)| {
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((tx, rx))
+    });
+    if let Ok(wake) = wake {
+        let conn = Arc::new(ConnShared {
+            conn_id,
+            cancel: CancelToken::new(),
+            outbox: Mutex::new(Vec::new()),
+            wake,
+        });
+        let mut sessions: HashMap<u64, Arc<SessionSlot>> = HashMap::new();
         let mut reader = BufReader::new(stream);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            read_loop(shared, &conn, &mut sessions, &mut reader, &tx)
+            read_loop(shared, &conn, &mut sessions, &mut reader)
         }));
         if result.is_err() {
             shared.c_panics.fetch_add(1, Ordering::Relaxed);
         }
-    }
-    cleanup_connection(shared, &conn, &mut sessions);
-    drop(tx);
-    if let Some(w) = writer {
-        let _ = w.join();
+        cleanup_connection(shared, &conn, &mut sessions);
     }
     shared
         .conn_streams
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .remove(&conn_id);
-    shared.conn_closed.notify_all();
     shared.connections.fetch_sub(1, Ordering::AcqRel);
 }
 
-fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>) {
-    let mut w = io::BufWriter::new(stream);
-    while let Ok(payload) = rx.recv() {
-        if write_frame(&mut w, &payload).is_err() {
-            return;
-        }
-    }
-    let _ = w.flush();
-}
-
-/// Sends one reply and counts it by its status. Every reply to a
-/// received frame goes through here, so once the server drains,
-/// `requests == ok + errors + overloaded`.
-fn send(shared: &Shared, tx: &Sender<Vec<u8>>, payload: Vec<u8>) {
-    let counter = match payload_status(&payload) {
+/// Counts one reply by its status and appends its frame to the outbox;
+/// returns whether the outbox was empty. Every reply to a received frame
+/// goes through here, so once the server drains, `requests == ok +
+/// errors + overloaded`.
+fn post(shared: &Shared, conn: &ConnShared, payload: &[u8]) -> bool {
+    let counter = match payload_status(payload) {
         b"ok" => &shared.c_ok,
         b"overloaded" => &shared.c_overloaded,
         _ => &shared.c_errors,
     };
     counter.fetch_add(1, Ordering::Relaxed);
-    let _ = tx.send(payload);
+    let mut outbox = conn.outbox.lock().unwrap_or_else(|e| e.into_inner());
+    let was_empty = outbox.is_empty();
+    write_frame(&mut *outbox, payload).expect("a reply fits in a frame");
+    was_empty
 }
 
-/// Cancels the connection's in-flight jobs and reclaims its sessions.
-/// Idempotent; runs when the reader finishes for any reason.
+/// The reader's reply: it writes the outbox before it next waits.
+fn send(shared: &Shared, conn: &ConnShared, payload: Vec<u8>) {
+    post(shared, conn, &payload);
+}
+
+/// A worker's reply: the reader may be waiting, so it is woken when the
+/// outbox was empty. A fuller outbox has a wake-up pending already, or
+/// the reader is about to write it.
+fn deliver(shared: &Shared, conn: &ConnShared, payload: Vec<u8>) {
+    if post(shared, conn, &payload) {
+        // Never blocks: a full pair holds a wake-up already.
+        let _ = (&conn.wake.0).write(&[1]);
+    }
+}
+
+/// Writes every reply the outbox holds, in one write when the client
+/// keeps up. Returns false when the client has not taken them by the
+/// deadline ([`Shared::write_deadline`]) or the write failed: the
+/// connection is then cut off. `buf` is the reader's spare buffer,
+/// swapped with the outbox so that neither allocates again.
+fn flush(shared: &Shared, conn: &ConnShared, stream: &TcpStream, buf: &mut Vec<u8>) -> bool {
+    std::mem::swap(
+        buf,
+        &mut *conn.outbox.lock().unwrap_or_else(|e| e.into_inner()),
+    );
+    if buf.is_empty() {
+        return true;
+    }
+    let written = write_by(stream, buf, shared.write_deadline());
+    buf.clear();
+    written.is_ok()
+}
+
+/// `write_all` that gives up at `deadline`. The socket's write timeout
+/// bounds each call, and is set to the time left before every call, so
+/// a client that frees buffer space in dribs cannot stretch it.
+fn write_by(mut stream: &TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Raises the connection's token, which retires its running and queued
+/// jobs, and reclaims its sessions. Runs once, when the reader finishes
+/// for any reason.
 fn cleanup_connection(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnShared>,
+    shared: &Shared,
+    conn: &ConnShared,
     sessions: &mut HashMap<u64, Arc<SessionSlot>>,
 ) {
-    if conn.dead.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let live = conn.live.lock().unwrap_or_else(|e| e.into_inner());
-    let retired = live.len() as u64;
-    for token in live.values() {
-        token.cancel();
-    }
-    drop(live);
+    conn.cancel.cancel();
     for (_, slot) in sessions.drain() {
         let mut inner = slot.inner.lock().unwrap_or_else(|e| e.into_inner());
-        // Queued-but-unstarted ops die with the connection: account
-        // their in-flight slots back. A Busy op stays counted; its
-        // cancelled worker completes it. Each dropped op settles as an
+        // Queued-but-unstarted ops die with the connection and never
+        // reach a worker, so they are accounted here: each gives its
+        // in-flight slot back, counts as cancelled, and settles as an
         // error so `requests == ok + errors + overloaded` still holds at
-        // drain (nobody is left to read a reply, so none is built).
-        let dropped = inner.pending.len() as i64;
+        // drain (nobody is left to read a reply, so none is built). A
+        // Busy op stays counted; its worker completes it.
+        let dropped = inner.pending.len();
         inner.pending.clear();
-        if dropped > 0 {
-            shared.c_errors.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
         match std::mem::replace(&mut inner.state, SlotState::Closed) {
             SlotState::Idle(session) => {
                 drop(session);
@@ -953,13 +990,12 @@ fn cleanup_connection(
         }
         drop(inner);
         if dropped > 0 {
-            shared.inflight.fetch_sub(dropped, Ordering::AcqRel);
+            shared.c_errors.fetch_add(dropped as u64, Ordering::Relaxed);
+            shared.c_cancelled.fetch_add(dropped as u64, Ordering::Relaxed);
+            shared.inflight.fetch_sub(dropped as i64, Ordering::AcqRel);
         }
     }
-    if retired > 0 {
-        shared.c_cancelled.fetch_add(retired, Ordering::Relaxed);
-        sufsat_obs::event!("serve.conn.reaped", conn = conn.conn_id, cancelled = retired);
-    }
+    sufsat_obs::event!("serve.conn.reaped", conn = conn.conn_id);
     shared.maybe_signal_drained();
 }
 
@@ -967,25 +1003,45 @@ fn read_loop(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     sessions: &mut HashMap<u64, Arc<SessionSlot>>,
-    reader: &mut impl Read,
-    tx: &Sender<Vec<u8>>,
+    reader: &mut BufReader<TcpStream>,
 ) {
-    loop {
+    let mut spare = Vec::new();
+    let mut hung_up = false;
+    // The outbox is written before the reader waits or reads again, and
+    // once more before it exits. No frame is answered once the stop has
+    // half-closed the connections: a half-closed socket still yields
+    // what the client keeps sending.
+    while flush(shared, conn, reader.get_ref(), &mut spare)
+        && !hung_up
+        && shared.stopped_at.get().is_none()
+    {
+        if reader.buffer().is_empty() {
+            // Nothing buffered: wait for the client's next bytes or a
+            // worker's wake-up, whichever comes first.
+            let Ok([client, woken]) = wait_readable(reader.get_ref(), &conn.wake.1) else {
+                return;
+            };
+            if woken {
+                let _ = (&conn.wake.1).read(&mut [0; 64]);
+            }
+            if !client {
+                continue;
+            }
+        }
         let frame = read_frame(reader, shared.opts.max_frame);
         if let Err(FrameError::Closed | FrameError::Truncated | FrameError::Io(_)) = frame {
-            return;
+            hung_up = true;
+            continue;
         }
         // Every other frame, malformed ones included, is a request that
         // gets exactly one reply.
         shared.c_requests.fetch_add(1, Ordering::Relaxed);
         match frame {
-            Ok(payload) => handle_payload(shared, conn, sessions, &payload, tx),
+            Ok(payload) => handle_payload(shared, conn, sessions, &payload),
             Err(e) => {
-                send(shared, tx, error_reply(None, &e.to_string()));
+                send(shared, conn, error_reply(None, &e.to_string()));
                 // Past an oversized frame the stream is out of sync: hang up.
-                if !e.recoverable() {
-                    return;
-                }
+                hung_up = !e.recoverable();
             }
         }
     }
@@ -997,12 +1053,11 @@ fn handle_payload(
     conn: &Arc<ConnShared>,
     sessions: &mut HashMap<u64, Arc<SessionSlot>>,
     payload: &[u8],
-    tx: &Sender<Vec<u8>>,
 ) {
     let req = match parse_request(payload) {
         Ok(req) => req,
         Err((id, message)) => {
-            send(shared, tx, error_reply(id, &message));
+            send(shared, conn, error_reply(id, &message));
             return;
         }
     };
@@ -1011,33 +1066,36 @@ fn handle_payload(
         // Introspection ops are answered inline by the reader thread, so
         // they keep working while the worker pool is saturated or the
         // server is draining.
-        Op::Metrics => send(shared, tx, metrics_reply(shared, id)),
-        Op::Health => send(shared, tx, health_reply(shared, id)),
+        Op::Metrics => send(shared, conn, metrics_reply(shared, id)),
+        Op::Health => send(shared, conn, health_reply(shared, id)),
         Op::Debug => {
             let reply = match req.what.as_deref() {
                 Some("slow_requests") => debug_reply(shared, id),
                 Some(what) => error_reply(id, &format!("unknown debug dump \"{what}\"")),
                 None => error_reply(id, "debug requires a \"what\" field"),
             };
-            send(shared, tx, reply);
+            send(shared, conn, reply);
         }
         Op::Shutdown => {
+            // Drain first, so a client that reads this reply finds the
+            // daemon draining. The stop cannot overtake the reply: it
+            // joins this thread, which writes the reply before it exits.
+            shared.begin_drain();
             send(
                 shared,
-                tx,
+                conn,
                 ReplyBuilder::new(id, "ok").str_field("draining", "true").finish(),
             );
-            shared.begin_drain();
         }
         Op::SessionOpen => {
             if shared.draining() {
-                send(shared, tx, error_reply(id, "server is shutting down"));
+                send(shared, conn, error_reply(id, "server is shutting down"));
                 return;
             }
             if sessions.len() >= shared.opts.session_limit {
                 send(
                     shared,
-                    tx,
+                    conn,
                     error_reply(id, "session limit reached for this connection"),
                 );
                 return;
@@ -1046,7 +1104,7 @@ fn handle_payload(
             let slot = Arc::new(SessionSlot {
                 session_id,
                 inner: Mutex::new(SlotInner {
-                    state: SlotState::Idle(Box::new(Session::new(request_options(&req)))),
+                    state: SlotState::Idle(Box::new(Session::new(request_options(&req, conn)))),
                     pending: std::collections::VecDeque::new(),
                     scheduled: false,
                 }),
@@ -1057,7 +1115,7 @@ fn handle_payload(
             sufsat_obs::event!("serve.session.open", conn = conn.conn_id, session = session_id);
             send(
                 shared,
-                tx,
+                conn,
                 ReplyBuilder::new(id, "ok").u64_field("session", session_id).finish(),
             );
         }
@@ -1065,7 +1123,7 @@ fn handle_payload(
         | Op::SessionClose => {
             let session_id = req.session.expect("validated by parse_request");
             let Some(slot) = sessions.get(&session_id).cloned() else {
-                send(shared, tx, error_reply(id, &format!("unknown session {session_id}")));
+                send(shared, conn, error_reply(id, &format!("unknown session {session_id}")));
                 return;
             };
             let kind = match req.op {
@@ -1079,7 +1137,7 @@ fn handle_payload(
                 _ => unreachable!(),
             };
             let close = matches!(kind, SessionOpKind::Close);
-            let admitted = enqueue_session_op(shared, conn, &slot, &req, kind, tx);
+            let admitted = enqueue_session_op(shared, conn, &slot, &req, kind);
             if close && admitted {
                 // The queued close op retires the slot; stop tracking it
                 // so cleanup does not race it. A rejected close keeps the
@@ -1089,37 +1147,34 @@ fn handle_payload(
         }
         Op::Decide => {
             if shared.draining() {
-                send(shared, tx, error_reply(id, "server is shutting down"));
+                send(shared, conn, error_reply(id, "server is shutting down"));
                 return;
             }
-            let cancel = CancelToken::new();
-            let job_key = shared.next_job.fetch_add(1, Ordering::Relaxed);
             let job = Box::new(DecideJob {
                 id,
                 problem: req.problem.clone().expect("validated"),
                 options: DecideOptions {
                     cache: shared.cache.clone(),
-                    ..request_options(&req)
+                    ..request_options(&req, conn)
                 },
                 deadline: deadline_of(shared, &req),
-                cancel: cancel.clone(),
-                job_key,
                 admitted_at: Instant::now(),
-                reply: tx.clone(),
                 conn: Arc::clone(conn),
             });
-            admit(shared, conn, job_key, cancel, id, Work::Decide(job), tx);
+            admit(shared, conn, id, Work::Decide(job));
         }
     }
 }
 
-/// The decide options a `decide` or `session-open` request asks for.
-fn request_options(req: &Request) -> DecideOptions {
+/// The decide options a `decide` or `session-open` request asks for,
+/// cancelled with the connection.
+fn request_options(req: &Request, conn: &ConnShared) -> DecideOptions {
     let defaults = DecideOptions::default();
     DecideOptions {
         mode: req.mode.unwrap_or(defaults.mode),
         cnf: req.cnf.unwrap_or(defaults.cnf),
         preprocess: req.preprocess,
+        cancel: Some(conn.cancel.clone()),
         ..defaults
     }
 }
@@ -1133,53 +1188,27 @@ fn deadline_of(shared: &Shared, req: &Request) -> Option<Instant> {
 
 /// Answers a request that the job queue or its session's backlog has no
 /// room for: the one place an `overloaded` reply is made.
-fn reject_overloaded(shared: &Shared, conn: &ConnShared, id: Option<u64>, tx: &Sender<Vec<u8>>) {
+fn reject_overloaded(shared: &Shared, conn: &ConnShared, id: Option<u64>) {
     sufsat_obs::event!("serve.overloaded", conn = conn.conn_id);
-    send(shared, tx, overloaded_reply(id));
+    send(shared, conn, overloaded_reply(id));
 }
 
 /// Answers a request the job queue refused.
-fn reject_push<T>(
-    shared: &Shared,
-    conn: &ConnShared,
-    id: Option<u64>,
-    err: &PushError<T>,
-    tx: &Sender<Vec<u8>>,
-) {
+fn reject_push<T>(shared: &Shared, conn: &ConnShared, id: Option<u64>, err: &PushError<T>) {
     match err {
-        PushError::Full(_) => reject_overloaded(shared, conn, id, tx),
-        PushError::Draining(_) => send(shared, tx, error_reply(id, "server is shutting down")),
+        PushError::Full(_) => reject_overloaded(shared, conn, id),
+        PushError::Draining(_) => send(shared, conn, error_reply(id, "server is shutting down")),
     }
 }
 
-/// Registers the job as in-flight and pushes it; on rejection, rolls the
-/// registration back and replies immediately.
-fn admit(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnShared>,
-    job_key: u64,
-    cancel: CancelToken,
-    id: Option<u64>,
-    work: Work,
-    tx: &Sender<Vec<u8>>,
-) {
+/// Counts the job in flight and pushes it; on rejection, takes the count
+/// back and replies immediately.
+fn admit(shared: &Shared, conn: &ConnShared, id: Option<u64>, work: Work) {
     shared.inflight.fetch_add(1, Ordering::AcqRel);
-    conn.live
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(job_key, cancel);
     if let Err(err) = shared.queue.try_push(work) {
-        rollback_admission(shared, conn, job_key);
-        reject_push(shared, conn, id, &err, tx);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        reject_push(shared, conn, id, &err);
     }
-}
-
-fn rollback_admission(shared: &Arc<Shared>, conn: &Arc<ConnShared>, job_key: u64) {
-    conn.live
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&job_key);
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Returns whether the op was admitted (a reply was sent either way).
@@ -1189,43 +1218,33 @@ fn enqueue_session_op(
     slot: &Arc<SessionSlot>,
     req: &Request,
     kind: SessionOpKind,
-    tx: &Sender<Vec<u8>>,
 ) -> bool {
     let id = req.id;
     if shared.draining() {
-        send(shared, tx, error_reply(id, "server is shutting down"));
+        send(shared, conn, error_reply(id, "server is shutting down"));
         return false;
     }
-    let cancel = CancelToken::new();
-    let job_key = shared.next_job.fetch_add(1, Ordering::Relaxed);
     let job = SessionOpJob {
         id,
         kind,
         deadline: deadline_of(shared, req),
-        cancel: cancel.clone(),
-        job_key,
         admitted_at: Instant::now(),
-        reply: tx.clone(),
         conn: Arc::clone(conn),
     };
     let must_schedule = {
         let mut inner = slot.inner.lock().unwrap_or_else(|e| e.into_inner());
         if matches!(inner.state, SlotState::Closed) {
             drop(inner);
-            send(shared, tx, error_reply(id, "session already closed"));
+            send(shared, conn, error_reply(id, "session already closed"));
             return false;
         }
         if inner.pending.len() >= shared.opts.queue_cap {
             drop(inner);
-            reject_overloaded(shared, conn, id, tx);
+            reject_overloaded(shared, conn, id);
             return false;
         }
         inner.pending.push_back(job);
         shared.inflight.fetch_add(1, Ordering::AcqRel);
-        conn.live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(job_key, cancel);
         if inner.scheduled {
             false
         } else {
@@ -1246,8 +1265,8 @@ fn enqueue_session_op(
         inner.pending.pop_back()
     };
     if let Some(job) = job {
-        rollback_admission(shared, conn, job.job_key);
-        reject_push(shared, conn, job.id, &err, tx);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        reject_push(shared, conn, job.id, &err);
     }
     false
 }
@@ -1270,14 +1289,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         shared.maybe_signal_drained();
     }
     shared.workers_alive.fetch_sub(1, Ordering::AcqRel);
-}
-
-fn complete_job(shared: &Arc<Shared>, conn: &ConnShared, job_key: u64) {
-    conn.live
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&job_key);
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
 fn verdict_reply(
@@ -1348,7 +1359,7 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
     let started = Instant::now();
     let queue_wait = started.saturating_duration_since(job.admitted_at);
     let mut status = "ok";
-    let reply_payload = if job.cancel.is_cancelled() {
+    let reply_payload = if job.conn.cancel.is_cancelled() {
         // The client is gone: the request settles as an error (keeping
         // `requests == ok + errors + overloaded`), with `cancelled`
         // recording the detail.
@@ -1363,7 +1374,6 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
             }
             Ok(budget) => {
                 job.options.timeout = budget;
-                job.options.cancel = Some(job.cancel.clone());
                 job.options.progress = Some(progress.clone());
                 let decision = catch_unwind(AssertUnwindSafe(|| -> Result<Decision, String> {
                     let mut tm = TermManager::new();
@@ -1414,8 +1424,8 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
     // longer counted in `inflight`. The heartbeat is captured here,
     // before the worker loop clears it, so a slow-log entry carries the
     // search's final published counters. A drain that completes in
-    // between cannot lose the reply: the connection's writer runs until
-    // `job.reply`, its last sender, is dropped after the send.
+    // between cannot lose the reply: the stop joins the workers before
+    // it closes any connection.
     shared.record_request(
         "decide",
         job.conn.conn_id,
@@ -1424,8 +1434,8 @@ fn run_decide_job(shared: &Arc<Shared>, mut job: DecideJob, progress: &ProgressH
         job.admitted_at,
         progress.snapshot(),
     );
-    complete_job(shared, &job.conn, job.job_key);
-    send(shared, &job.reply, reply_payload);
+    shared.inflight.fetch_sub(1, Ordering::AcqRel);
+    deliver(shared, &job.conn, reply_payload);
     drop(span);
 }
 
@@ -1477,7 +1487,7 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
                 )
             }
             Some(mut session) => {
-                if job.cancel.is_cancelled() {
+                if job.conn.cancel.is_cancelled() {
                     // Same settlement as a cancelled decide job: the
                     // error reply is the terminal counter, `cancelled`
                     // is the detail.
@@ -1546,8 +1556,8 @@ fn run_session_slot(shared: &Arc<Shared>, slot: &Arc<SessionSlot>, progress: &Pr
             job.admitted_at,
             progress.snapshot(),
         );
-        complete_job(shared, &job.conn, job.job_key);
-        send(shared, &job.reply, payload);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        deliver(shared, &job.conn, payload);
         // One slot drain can run many ops; reset the heartbeat so the
         // next op starts from a clean snapshot.
         progress.clear();
@@ -1599,11 +1609,9 @@ fn execute_session_op(
             };
             let started = Instant::now();
             session.set_timeout(budget);
-            session.set_cancel_token(Some(job.cancel.clone()));
             session.set_progress_handle(Some(progress.clone()));
             let result = session.check();
             session.set_timeout(None);
-            session.set_cancel_token(None);
             session.set_progress_handle(None);
             settle_outcome(shared, &result.outcome);
             verdict_reply(
@@ -1742,6 +1750,31 @@ mod tests {
         sufsat_obs::shutdown();
         assert_eq!(events, 3);
         assert_eq!(report.counters.overloaded, 3);
+        let c = &report.counters;
+        assert_eq!(c.requests, c.ok + c.errors + c.overloaded, "{c:?}");
+    }
+
+    #[test]
+    fn a_disconnect_counts_each_retired_job_once() {
+        let opts = ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.send_raw(php_decide(12).as_bytes()).expect("send");
+        while server.shared.worker_info()[0].0 != "busy" {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        client.send_raw(php_decide(12).as_bytes()).expect("send");
+        while server.shared.queue_depth() != 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // One job running, one queued: the disconnect retires both.
+        drop(client);
+        let report = server.shutdown();
+        assert_eq!(report.counters.cancelled, 2, "{:?}", report.counters);
+        assert_eq!(report.inflight, 0);
         let c = &report.counters;
         assert_eq!(c.requests, c.ok + c.errors + c.overloaded, "{c:?}");
     }

@@ -106,10 +106,11 @@ cargo test -q --release --test serve_session
 
 echo "==> serve, core and obs: 10 runs while two busy loops compete for the cores"
 # Deadline and disconnect tests race the daemon's accounting against the
-# clock, core's single-flight tests race a held flight against a waiting
-# decide, and obs times its disabled fast path; contention for the cores
-# brings out orderings an idle host rarely shows. The trap stops the busy
-# loops however this stage ends.
+# clock (the daemon's own unit tests among them), core's single-flight
+# tests race a held flight against a waiting decide, and obs times its
+# disabled fast path; contention for the cores brings out orderings an
+# idle host rarely shows. The trap stops the busy loops however this
+# stage ends.
 hogs=()
 trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
 for _ in 1 2; do
@@ -117,9 +118,9 @@ for _ in 1 2; do
     hogs+=("$!")
 done
 for run in $(seq 1 10); do
-    echo "--> serve_session, sufsat-core and sufsat-obs under load, run ${run} of 10"
+    echo "--> serve_session, sufsat-core, sufsat-obs and sufsat-serve under load, run ${run} of 10"
     cargo test -q --release --test serve_session
-    cargo test -q --release -p sufsat-core -p sufsat-obs
+    cargo test -q --release -p sufsat-core -p sufsat-obs -p sufsat-serve
 done
 kill "${hogs[@]}"
 wait "${hogs[@]}" 2>/dev/null || true

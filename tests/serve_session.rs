@@ -451,10 +451,10 @@ fn graceful_shutdown_drains_inflight_work() {
 
 #[test]
 fn shutdown_reply_is_written_before_the_stop() {
-    // The `shutdown` op queues its `ok` for the connection's writer, then
-    // starts the drain, which completes at once on an idle daemon. The
-    // stop (`wait` on its own thread, as `sufsat serve` runs it) must not
-    // close the connection before that reply is on the wire.
+    // The `shutdown` op starts the drain, which completes at once on an
+    // idle daemon, and then queues its `ok` for the connection's reader.
+    // The stop (`wait` on its own thread, as `sufsat serve` runs it) must
+    // not close the connection before that reply is on the wire.
     const ROUNDS: usize = 2000;
     let mut lost = Vec::new();
     for round in 0..ROUNDS {
@@ -492,17 +492,17 @@ fn client_that_never_reads_cannot_hold_up_the_stop() {
     let handle = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = handle.local_addr();
     // Pipeline far more replies than the socket buffers hold, and never
-    // read one: the connection's writer ends up blocked mid-write.
+    // read one: the connection's reader ends up blocked mid-write.
     const FLOOD: u64 = 10_000;
     let mut flood = Client::connect(addr).unwrap();
     for _ in 0..FLOOD {
         flood.send_raw(br#"{"op":"metrics"}"#).unwrap();
     }
-    wait_for_stats(&addr.to_string(), "the flood to be read", |s| {
+    wait_for_stats(&addr.to_string(), "the flood to start being read", |s| {
         s.get("counters")
             .and_then(|c| c.get("requests"))
             .and_then(Json::as_u64)
-            .is_some_and(|n| n >= FLOOD)
+            .is_some_and(|n| n >= 1)
     });
     let (tx, rx) = std::sync::mpsc::channel();
     let stopper = std::thread::spawn(move || tx.send(handle.shutdown()).unwrap());
@@ -512,6 +512,175 @@ fn client_that_never_reads_cannot_hold_up_the_stop() {
     stopper.join().expect("stop thread");
     assert_counter_invariant(&report.counters);
     drop(flood);
+}
+
+#[test]
+fn client_that_stops_reading_is_cut_off() {
+    let handle = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = handle.local_addr();
+    // Pipeline 100,000 `metrics` requests and read no reply. Their
+    // replies (about 1 KB each) outgrow the socket buffers long before
+    // the requests run out, so the daemon must stop reading and cut the
+    // connection off instead of queueing replies.
+    const FLOOD: u64 = 100_000;
+    let mut flood = Client::connect(addr).unwrap();
+    let flooder = std::thread::spawn(move || {
+        for _ in 0..FLOOD {
+            // A failed send means the daemon already hung up.
+            if flood.send_raw(br#"{"op":"metrics"}"#).is_err() {
+                break;
+            }
+        }
+        flood
+    });
+    wait_for_stats(&addr.to_string(), "the flood to start being read", |s| {
+        s.get("counters")
+            .and_then(|c| c.get("requests"))
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n >= 1)
+    });
+    // Other clients are served meanwhile.
+    let mut other = Client::connect(addr).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let reply = other.health().unwrap();
+    assert_eq!(reply_status(&reply), "ok", "{reply:?}");
+    drop(other);
+    // The flood's connection is closed once a write of its replies has
+    // not finished within the daemon's write timeout; the kernel frees
+    // buffer space in spurts, each of which lets one more write finish,
+    // so allow a few such periods. Then only the poller's own connection
+    // remains.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = Client::connect(addr).unwrap().stats().unwrap();
+        if stats.get("connections").and_then(Json::as_f64) == Some(1.0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the flood was never cut off: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let flood = flooder.join().expect("flood thread");
+    let report = handle.shutdown();
+    drop(flood);
+    assert!(
+        report.counters.requests < FLOOD,
+        "every pipelined request was read: {:?}",
+        report.counters
+    );
+    assert_counter_invariant(&report.counters);
+}
+
+#[test]
+fn client_that_stops_reading_holds_up_neither_the_workers_nor_the_stop() {
+    use std::io::Write;
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        ServeOptions {
+            workers: 2,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.local_addr();
+    let frame = |payload: &[u8]| [&(payload.len() as u32).to_be_bytes()[..], payload].concat();
+    // The client has one decide per worker admitted, each ending at its
+    // 1 s deadline, and meanwhile pipelines far more `metrics` replies
+    // than the socket buffers hold and reads none: when the decides end,
+    // both workers have a reply for a client that takes none.
+    let stalled = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stalled.try_clone().unwrap();
+    for pigeons in [12, 13] {
+        let mut msg = String::from("{\"op\":\"decide\",\"timeout_ms\":1000,\"problem\":");
+        json::escape_into(&mut msg, &php_problem(pigeons));
+        msg.push('}');
+        writer.write_all(&frame(msg.as_bytes())).unwrap();
+    }
+    let flooder = std::thread::spawn(move || {
+        let metrics = frame(br#"{"op":"metrics"}"#);
+        for _ in 0..100_000 {
+            // A failed send means the daemon hung up.
+            if writer.write_all(&metrics).is_err() {
+                break;
+            }
+        }
+    });
+    wait_for_stats(&addr.to_string(), "both decides to reach their deadline", |s| {
+        s.get("counters")
+            .and_then(|c| c.get("timeouts"))
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n >= 2)
+    });
+    // Another client's decide finds a free worker at once: a worker
+    // blocked writing to the stalled client would hold it for the
+    // daemon's 2 s write timeout.
+    let mut other = Client::connect(addr).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let started = Instant::now();
+    let reply = other.decide(&problem(POOL[0]), None).unwrap();
+    assert_eq!(reply_status(&reply), "ok", "{reply:?}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "another client's decide took {:?}",
+        started.elapsed()
+    );
+    drop(other);
+    // The stop gives up on the stalled client one write timeout after it
+    // half-closes the connections, at the latest.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || tx.send(handle.shutdown()).unwrap());
+    let report = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a client that stopped reading held up the stop");
+    stopper.join().expect("stop thread");
+    flooder.join().expect("flood thread");
+    drop(stalled);
+    assert_counter_invariant(&report.counters);
+}
+
+#[test]
+fn client_that_keeps_sending_cannot_hold_up_the_stop() {
+    use std::io::{Read, Write};
+    let handle = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = handle.local_addr();
+    // One thread pipelines `health` requests without pause and another
+    // reads every reply, so the daemon always has a request to read, even
+    // from a half-closed socket.
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let health = br#"{"op":"health"}"#;
+        let frame = [&(health.len() as u32).to_be_bytes()[..], health].concat();
+        while writer.write_all(&frame).is_ok() {}
+    });
+    let receiver = std::thread::spawn(move || {
+        let mut stream = stream;
+        let mut buf = [0u8; 4096];
+        while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
+    });
+    wait_for_stats(&addr.to_string(), "the requests to be read", |s| {
+        s.get("counters")
+            .and_then(|c| c.get("requests"))
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n >= 1000)
+    });
+    // The reader answers no frame past the stop's half-close; were it to
+    // go on, only the write timeout would end the connection, 2 s later.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || tx.send(handle.shutdown()).unwrap());
+    let report = rx
+        .recv_timeout(Duration::from_millis(1500))
+        .expect("a client that keeps sending held up the stop");
+    stopper.join().expect("stop thread");
+    sender.join().expect("send thread");
+    receiver.join().expect("receive thread");
+    assert_counter_invariant(&report.counters);
 }
 
 #[test]
