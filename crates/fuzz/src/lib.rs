@@ -15,7 +15,7 @@
 //! multiply every case: α-renaming and constant shifts must preserve the
 //! verdict, and a valid formula's negation must be invalid.
 //!
-//! On any failure a delta-debugging shrinker ([`shrink`]) reduces the
+//! On any failure a delta-debugging shrinker ([`mod@shrink`]) reduces the
 //! formula while the failure reproduces, and a self-contained reproducer
 //! (seed + printed formula) lands in the corpus directory ([`corpus`]).
 //!

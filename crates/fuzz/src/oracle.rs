@@ -5,7 +5,8 @@
 //! lenses, the lazy and case-splitting baselines and the incremental
 //! session (the negated formula NNF-split into pushed conjuncts) — and
 //! the verdicts are compared. With certification enabled, each eager and
-//! session answer additionally carries a [`Certificate`]: SAT answers are
+//! session answer additionally carries a
+//! [`Certificate`](sufsat_core::Certificate): SAT answers are
 //! replayed through the reference evaluator, UNSAT answers through the
 //! DRAT/RUP proof checker. Any disagreement, failed certificate or panic
 //! is an oracle failure carrying everything needed to reproduce it.

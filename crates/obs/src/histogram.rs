@@ -275,7 +275,7 @@ const WINDOW_SLOTS: usize = 6;
 /// A time-windowed histogram: recent observations only, so a dashboard
 /// can show "p99 over the last minute" instead of since-process-start.
 ///
-/// The window is divided into [`WINDOW_SLOTS`] equal slots, each backed by
+/// The window is divided into `WINDOW_SLOTS` (6) equal slots, each backed by
 /// its own [`HistogramBins`] and stamped with the slot number it currently
 /// holds. Recording writes to the current slot, lazily reclaiming it (one
 /// short mutex section per slot period, not per record) when the stamp is

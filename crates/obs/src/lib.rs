@@ -9,7 +9,7 @@
 //! * **Hierarchical spans** with wall-clock timing ([`span`]) — one per
 //!   pipeline stage (`suf.eliminate`, `encode`, `sat.solve`,
 //!   `core.decide`, `serve.request`, …), nested via a per-thread stack.
-//! * **Point events** with typed fields ([`event`] / [`event!`]) — class
+//! * **Point events** with typed fields ([`event()`] / [`event!`]) — class
 //!   method decisions, solver results, cache hits, oracle verdicts.
 //! * **Named atomic counters** ([`Counter`]) and **histograms**
 //!   ([`Histogram`]) — e.g. cumulative SAT conflicts across a whole
@@ -21,7 +21,7 @@
 //!
 //! Tracing is **off by default** and every entry point begins with one
 //! relaxed atomic load. While disabled, [`span`] returns an inert guard,
-//! [`event`] returns immediately, and counters skip registration — no
+//! [`event()`] returns immediately, and counters skip registration — no
 //! allocation, no locks, no syscalls (asserted by the crate's
 //! `disabled_fastpath` test under a counting allocator). The pipeline is
 //! therefore instrumented unconditionally; the < 2 % overhead budget of a

@@ -9,6 +9,10 @@
 //! that relocates live clauses into a fresh arena and leaves forwarding
 //! addresses behind so watchers, reasons and the learnt list can be
 //! rewritten.
+//!
+//! A [`Watcher`] tags binary clauses in the top bit of its clause
+//! reference, so the arena must stay below 2^31 words
+//! ([`MAX_ARENA_WORDS`]); allocation and relocation assert it.
 
 use crate::lit::Lit;
 
@@ -28,6 +32,13 @@ const FLAG_REMOVED: u32 = 0b010;
 const FLAG_RELOCATED: u32 = 0b100;
 const SIZE_SHIFT: u32 = 3;
 
+/// Bit of a [`Watcher`]'s stored reference that marks a binary clause.
+const BINARY_TAG: u32 = 1 << 31;
+
+/// Arena words addressable by a [`ClauseRef`] that leaves [`BINARY_TAG`]
+/// free.
+const MAX_ARENA_WORDS: usize = BINARY_TAG as usize;
+
 /// The clause database: one flat `u32` arena plus the learnt-clause index.
 ///
 /// Tombstoned clauses keep their header (and size) so the arena stays
@@ -40,6 +51,10 @@ pub(crate) struct ClauseDb {
     wasted: usize,
     /// Live clause count.
     live: usize,
+    /// Live learnt-clause count, kept by `alloc`, `remove`,
+    /// `make_irredundant` and relocation so the search loop reads it in
+    /// O(1) before every decision.
+    live_learnts: usize,
     /// Live learnt-clause refs (may contain stale entries cleaned at
     /// reduce/GC time).
     pub(crate) learnts: Vec<ClauseRef>,
@@ -53,7 +68,7 @@ impl ClauseDb {
     /// Allocates a clause at the end of the arena and returns its reference.
     pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(!lits.is_empty());
-        let cref = ClauseRef::try_from(self.data.len()).expect("clause arena overflow");
+        let cref = self.next_ref(HEADER_WORDS + lits.len());
         let header = ((lits.len() as u32) << SIZE_SHIFT) | if learnt { FLAG_LEARNT } else { 0 };
         self.data.reserve(HEADER_WORDS + lits.len());
         self.data.push(header);
@@ -62,19 +77,36 @@ impl ClauseDb {
         self.data.extend(lits.iter().map(|l| l.index() as u32));
         self.live += 1;
         if learnt {
+            self.live_learnts += 1;
             self.learnts.push(cref);
         }
         cref
+    }
+
+    /// The reference of a clause of `words` words appended to the arena.
+    fn next_ref(&self, words: usize) -> ClauseRef {
+        assert!(
+            self.data.len() + words <= MAX_ARENA_WORDS,
+            "clause arena overflow: watchers address at most 2^31 words"
+        );
+        self.data.len() as ClauseRef
     }
 
     /// Tombstones a clause. Its slot stays walkable (the size is kept) but
     /// the words count as wasted until the next compaction.
     pub(crate) fn remove(&mut self, cref: ClauseRef) {
         let h = self.data[cref as usize];
-        debug_assert_eq!(h & (FLAG_REMOVED | FLAG_RELOCATED), 0, "double removal of {cref}");
+        debug_assert_eq!(
+            h & (FLAG_REMOVED | FLAG_RELOCATED),
+            0,
+            "double removal of {cref}"
+        );
         self.data[cref as usize] = h | FLAG_REMOVED;
         self.wasted += HEADER_WORDS + (h >> SIZE_SHIFT) as usize;
         self.live -= 1;
+        if h & FLAG_LEARNT != 0 {
+            self.live_learnts -= 1;
+        }
     }
 
     #[inline]
@@ -96,7 +128,9 @@ impl ClauseDb {
         if h & FLAG_LEARNT == 0 {
             return;
         }
+        debug_assert_eq!(h & FLAG_REMOVED, 0, "promoting a tombstoned clause {cref}");
         self.data[cref as usize] = h & !FLAG_LEARNT;
+        self.live_learnts -= 1;
         if let Some(i) = self.learnts.iter().position(|&c| c == cref) {
             self.learnts.swap_remove(i);
         }
@@ -152,11 +186,9 @@ impl ClauseDb {
     }
 
     /// Number of live learnt clauses.
+    #[inline]
     pub(crate) fn num_learnts(&self) -> usize {
-        self.learnts
-            .iter()
-            .filter(|&&c| !self.is_removed(c) && self.learnt(c))
-            .count()
+        self.live_learnts
     }
 
     /// All clause refs in the arena, live and tombstoned alike, in
@@ -201,10 +233,13 @@ impl ClauseDb {
         }
         debug_assert_eq!(h & FLAG_REMOVED, 0, "relocating a tombstoned clause {cref}");
         let size = (h >> SIZE_SHIFT) as usize;
-        let new = ClauseRef::try_from(to.data.len()).expect("clause arena overflow");
+        let new = to.next_ref(HEADER_WORDS + size);
         to.data
             .extend_from_slice(&self.data[cref as usize..cref as usize + HEADER_WORDS + size]);
         to.live += 1;
+        if h & FLAG_LEARNT != 0 {
+            to.live_learnts += 1;
+        }
         self.data[cref as usize] = h | FLAG_RELOCATED;
         self.data[cref as usize + 1] = new;
         new
@@ -212,8 +247,13 @@ impl ClauseDb {
 
     /// Installs the compacted arena produced by a relocation pass.
     pub(crate) fn finish_gc(&mut self, to: ClauseDb, learnts: Vec<ClauseRef>) {
+        debug_assert_eq!(
+            self.live_learnts, to.live_learnts,
+            "a live learnt clause was lost"
+        );
         self.data = to.data;
         self.live = to.live;
+        self.live_learnts = to.live_learnts;
         self.wasted = 0;
         self.learnts = learnts;
     }
@@ -221,10 +261,46 @@ impl ClauseDb {
 
 /// A watch-list entry: the clause plus a cached "blocker" literal whose truth
 /// makes visiting the clause unnecessary.
+///
+/// The top bit of the stored reference tags a binary clause. A binary
+/// clause's blocker is always its other literal, so propagation settles
+/// it from the watcher alone: the clause is satisfied, unit or
+/// conflicting, and only a conflict reads the arena. The tag keeps the
+/// watcher at 8 bytes.
 #[derive(Debug, Copy, Clone)]
 pub(crate) struct Watcher {
-    pub(crate) cref: ClauseRef,
+    tagged: u32,
     pub(crate) blocker: Lit,
+}
+
+impl Watcher {
+    #[inline]
+    pub(crate) fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Watcher {
+        debug_assert_eq!(cref & BINARY_TAG, 0);
+        Watcher {
+            tagged: if binary { cref | BINARY_TAG } else { cref },
+            blocker,
+        }
+    }
+
+    /// The watched clause.
+    #[inline]
+    pub(crate) fn cref(self) -> ClauseRef {
+        self.tagged & !BINARY_TAG
+    }
+
+    /// Whether the watched clause has exactly two literals.
+    #[inline]
+    pub(crate) fn is_binary(self) -> bool {
+        self.tagged & BINARY_TAG != 0
+    }
+
+    /// Points the watcher at `cref` (a relocated copy), keeping its tag.
+    #[inline]
+    pub(crate) fn set_cref(&mut self, cref: ClauseRef) {
+        debug_assert_eq!(cref & BINARY_TAG, 0);
+        self.tagged = (self.tagged & BINARY_TAG) | cref;
+    }
 }
 
 #[cfg(test)]
@@ -284,12 +360,51 @@ mod tests {
     #[test]
     fn gc_threshold_tracks_waste() {
         let mut db = ClauseDb::new();
-        let refs: Vec<ClauseRef> = (0..10).map(|_| db.alloc(&lits(&[1, 2, 3]), false, 0)).collect();
+        let refs: Vec<ClauseRef> = (0..10)
+            .map(|_| db.alloc(&lits(&[1, 2, 3]), false, 0))
+            .collect();
         assert!(!db.wants_gc());
         for &r in &refs[..5] {
             db.remove(r);
         }
         assert!(db.wants_gc());
+    }
+
+    #[test]
+    fn learnt_count_follows_removal_promotion_and_relocation() {
+        let mut db = ClauseDb::new();
+        let a = db.alloc(&lits(&[1, 2, 3]), true, 2);
+        let b = db.alloc(&lits(&[2, 3, 4]), true, 2);
+        let c = db.alloc(&lits(&[3, 4, 5]), true, 2);
+        db.alloc(&lits(&[1, 5]), false, 0);
+        assert_eq!(db.num_learnts(), 3);
+        db.remove(a);
+        db.make_irredundant(b);
+        db.make_irredundant(b);
+        assert_eq!(db.num_learnts(), 1);
+        let mut to = ClauseDb::new();
+        let nb = db.reloc(b, &mut to);
+        let nc = db.reloc(c, &mut to);
+        db.finish_gc(to, vec![nc]);
+        assert_eq!(db.num_learnts(), 1);
+        assert!(!db.learnt(nb));
+        db.remove(nc);
+        assert_eq!(db.num_learnts(), 0);
+    }
+
+    #[test]
+    fn watchers_tag_binary_clauses_in_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Watcher>(), 8);
+        let blocker = lits(&[3])[0];
+        let mut w = Watcher::new(7, blocker, true);
+        assert!(w.is_binary());
+        assert_eq!(w.cref(), 7);
+        w.set_cref(42);
+        assert!(w.is_binary(), "relocation keeps the tag");
+        assert_eq!(w.cref(), 42);
+        let long = Watcher::new(MAX_ARENA_WORDS as ClauseRef - 1, blocker, false);
+        assert!(!long.is_binary());
+        assert_eq!(long.cref(), MAX_ARENA_WORDS as ClauseRef - 1);
     }
 
     #[test]

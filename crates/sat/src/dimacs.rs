@@ -161,7 +161,10 @@ impl Cnf {
                     at += 1;
                 }
                 if at < len && b[at] != b'\n' {
-                    return Err(ParseDimacsError::new(line, "trailing tokens on problem line"));
+                    return Err(ParseDimacsError::new(
+                        line,
+                        "trailing tokens on problem line",
+                    ));
                 }
                 num_vars = Some(nv as usize);
                 declared_clauses = nc as usize;
@@ -325,10 +328,16 @@ mod tests {
     fn handles_crlf_and_tabs() {
         let cnf = parse("c crlf\r\np cnf 2 2\r\n1\t-2 0\r\n2 0\r\n").unwrap();
         assert_eq!(cnf.num_vars, 2);
-        assert_eq!(cnf.clauses, vec![
-            vec![Lit::new(Var::from_index(0), true), Lit::new(Var::from_index(1), false)],
-            vec![Lit::new(Var::from_index(1), true)],
-        ]);
+        assert_eq!(
+            cnf.clauses,
+            vec![
+                vec![
+                    Lit::new(Var::from_index(0), true),
+                    Lit::new(Var::from_index(1), false)
+                ],
+                vec![Lit::new(Var::from_index(1), true)],
+            ]
+        );
     }
 
     #[test]

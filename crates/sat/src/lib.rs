@@ -97,9 +97,7 @@ mod prop_tests {
             let mut solver = Solver::new();
             solver.reserve_vars(num_vars);
             for c in &clauses {
-                solver.add_clause(
-                    c.iter().map(|&(v, p)| Lit::new(Var::from_index(v), p)),
-                );
+                solver.add_clause(c.iter().map(|&(v, p)| Lit::new(Var::from_index(v), p)));
             }
             let result = solver.solve();
             assert_eq!(result == SolveResult::Sat, expected, "clauses: {clauses:?}");
@@ -148,7 +146,11 @@ mod prop_tests {
             for l in &lits {
                 consistent &= s2.add_clause([*l]);
             }
-            let with_units = if consistent { s2.solve() } else { SolveResult::Unsat };
+            let with_units = if consistent {
+                s2.solve()
+            } else {
+                SolveResult::Unsat
+            };
             assert_eq!(
                 under_assumptions == SolveResult::Sat,
                 with_units == SolveResult::Sat,
@@ -171,7 +173,9 @@ mod prop_tests {
             solver.enable_proof();
             solver.reserve_vars(num_vars);
             let as_lits = |c: &Vec<(usize, bool)>| -> Vec<Lit> {
-                c.iter().map(|&(v, p)| Lit::new(Var::from_index(v), p)).collect()
+                c.iter()
+                    .map(|&(v, p)| Lit::new(Var::from_index(v), p))
+                    .collect()
             };
             for c in &clauses {
                 solver.add_clause(as_lits(c));

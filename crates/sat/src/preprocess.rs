@@ -91,8 +91,7 @@ impl Solver {
     pub fn preprocess(&mut self) -> bool {
         static ELIMINATED: sufsat_obs::Counter =
             sufsat_obs::Counter::new("sat.preprocess.eliminated_vars");
-        static SUBSUMED: sufsat_obs::Counter =
-            sufsat_obs::Counter::new("sat.preprocess.subsumed");
+        static SUBSUMED: sufsat_obs::Counter = sufsat_obs::Counter::new("sat.preprocess.subsumed");
         static STRENGTHENED: sufsat_obs::Counter =
             sufsat_obs::Counter::new("sat.preprocess.strengthened");
 
@@ -719,13 +718,15 @@ mod tests {
         // assert over the whole live arena instead: the subsumer survives
         // promoted, so no learnt clause is left for reduce_db to drop.
         assert_eq!(s.db.num_learnts(), 0);
-        assert!(s.db.learnts.is_empty(), "promoted clause leaves the learnt index");
-        let live: Vec<_> = s
-            .db
-            .crefs()
-            .into_iter()
-            .filter(|&c| !s.db.is_removed(c))
-            .collect();
+        assert!(
+            s.db.learnts.is_empty(),
+            "promoted clause leaves the learnt index"
+        );
+        let live: Vec<_> =
+            s.db.crefs()
+                .into_iter()
+                .filter(|&c| !s.db.is_removed(c))
+                .collect();
         assert_eq!(live.len(), 1);
         assert!(!s.db.learnt(live[0]), "subsumer must be promoted");
         assert_eq!(s.db.size(live[0]), 2);
@@ -758,7 +759,10 @@ mod tests {
         assert!(s.preprocess());
         assert!(!s.is_eliminated(v[0]));
         // A frozen variable still works as an assumption.
-        assert_eq!(s.solve_with_assumptions(&[v[0].positive()]), SolveResult::Sat);
+        assert_eq!(
+            s.solve_with_assumptions(&[v[0].positive()]),
+            SolveResult::Sat
+        );
         assert_eq!(s.model_value(v[1]), Some(true));
     }
 
@@ -800,7 +804,10 @@ mod tests {
         if s.is_eliminated(x) {
             // Assuming x must now behave exactly like the original
             // formula: x ∧ ¬b is contradictory.
-            assert_eq!(s.solve_with_assumptions(&[x.positive()]), SolveResult::Unsat);
+            assert_eq!(
+                s.solve_with_assumptions(&[x.positive()]),
+                SolveResult::Unsat
+            );
             assert!(!s.is_eliminated(x));
             assert!(!s.failed_assumptions().is_empty());
         }

@@ -85,10 +85,12 @@ impl ProgressHandle {
         i.propagations.store(snap.propagations, Ordering::Relaxed);
         i.restarts.store(snap.restarts, Ordering::Relaxed);
         i.trail_depth.store(snap.trail_depth, Ordering::Relaxed);
-        i.learnt_clauses.store(snap.learnt_clauses, Ordering::Relaxed);
+        i.learnt_clauses
+            .store(snap.learnt_clauses, Ordering::Relaxed);
         i.arena_bytes.store(snap.arena_bytes, Ordering::Relaxed);
         i.elapsed_us.store(snap.elapsed_us, Ordering::Relaxed);
-        i.conflicts_per_s.store(snap.conflicts_per_s, Ordering::Relaxed);
+        i.conflicts_per_s
+            .store(snap.conflicts_per_s, Ordering::Relaxed);
         i.seq.fetch_add(1, Ordering::Release);
     }
 

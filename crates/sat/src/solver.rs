@@ -34,6 +34,16 @@ pub enum Interrupt {
     Cancelled,
 }
 
+// Marks of `Solver::seen`.
+/// Not part of the current analysis.
+const UNSEEN: u8 = 0;
+/// A literal of the clause being learnt.
+const SOURCE: u8 = 1;
+/// Implied by the clause's literals: minimization may drop it.
+const REMOVABLE: u8 = 2;
+/// Not implied by the clause's literals.
+const FAILED: u8 = 3;
+
 /// Tunable solver parameters. The defaults follow MiniSat/zChaff practice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
@@ -78,6 +88,13 @@ impl Default for Config {
 /// minimization, Luby restarts and activity/LBD-based clause-database
 /// reduction.
 ///
+/// It follows MiniSat 2.2's engineering as well: binary clauses propagate
+/// from their watchers without reading the clause arena, minimization
+/// memoizes each literal's verdict, and the live learnt count is a
+/// counter. None of these changes the search: the same input takes the
+/// same conflicts, decisions, propagations, learnt clauses and DRAT proof
+/// as it would without them, in every process.
+///
 /// # Examples
 ///
 /// ```
@@ -107,10 +124,23 @@ pub struct Solver {
     var_inc: f64,
     clause_inc: f64,
     phase: Vec<bool>,
-    seen: Vec<bool>,
-    /// Scratch for recursive minimization.
-    analyze_stack: Vec<Lit>,
+    /// Per-variable mark of conflict analysis: [`UNSEEN`], or [`SOURCE`]
+    /// for a literal of the clause being learnt, or the memoized verdict
+    /// of clause minimization ([`REMOVABLE`], [`FAILED`]). All
+    /// [`UNSEEN`] between analyses.
+    seen: Vec<u8>,
+    /// Scratch for minimization: the DFS path, each entry a literal and
+    /// the index of its next reason literal to visit.
+    analyze_stack: Vec<(usize, Lit)>,
+    /// Variables whose `seen` mark the current analysis set.
     analyze_clear: Vec<Var>,
+    /// Scratch for the clause being learnt.
+    analyze_learnt: Vec<Lit>,
+    /// Per-decision-level stamp of the last LBD count that saw the level;
+    /// grown to the decision level by `analyze`.
+    level_stamp: Vec<u64>,
+    /// Stamp of the current LBD count.
+    lbd_stamp: u64,
     /// False once the clause set is known unsatisfiable at level 0.
     pub(crate) ok: bool,
     pub(crate) model: Vec<bool>,
@@ -188,6 +218,9 @@ impl Solver {
             seen: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
+            analyze_learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
             ok: true,
             model: Vec::new(),
             frozen: Vec::new(),
@@ -217,7 +250,7 @@ impl Solver {
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.phase.push(false);
-        self.seen.push(false);
+        self.seen.push(UNSEEN);
         self.frozen.push(false);
         self.eliminated.push(false);
         self.watches.push(Vec::new());
@@ -554,7 +587,7 @@ impl Solver {
         if removed {
             let db = &self.db;
             for watchers in &mut self.watches {
-                watchers.retain(|w| !db.is_removed(w.cref));
+                watchers.retain(|w| !db.is_removed(w.cref()));
             }
             self.maybe_gc();
         }
@@ -699,9 +732,9 @@ impl Solver {
                     self.proof_add(&[]);
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt_level, lbd) = self.analyze(confl);
+                let (bt_level, lbd) = self.analyze(confl);
                 self.backtrack_to(bt_level);
-                self.learn(learnt, lbd);
+                self.learn(lbd);
                 self.decay_activities();
                 deadline_credit += 16;
                 if let Some(budget) = self.conflict_budget {
@@ -874,19 +907,23 @@ impl Solver {
         self.trail.push(l);
     }
 
+    /// Watches the first two literals of `cref`, each watcher blocked by
+    /// the other literal.
     pub(crate) fn attach(&mut self, cref: ClauseRef) {
-        debug_assert!(self.db.size(cref) >= 2);
+        let size = self.db.size(cref);
+        debug_assert!(size >= 2);
         let w0 = self.db.lit(cref, 0);
         let w1 = self.db.lit(cref, 1);
-        self.watches[(!w0).index()].push(Watcher { cref, blocker: w1 });
-        self.watches[(!w1).index()].push(Watcher { cref, blocker: w0 });
+        let binary = size == 2;
+        self.watches[(!w0).index()].push(Watcher::new(cref, w1, binary));
+        self.watches[(!w1).index()].push(Watcher::new(cref, w0, binary));
     }
 
     pub(crate) fn detach(&mut self, cref: ClauseRef) {
         let w0 = self.db.lit(cref, 0);
         let w1 = self.db.lit(cref, 1);
-        self.watches[(!w0).index()].retain(|w| w.cref != cref);
-        self.watches[(!w1).index()].retain(|w| w.cref != cref);
+        self.watches[(!w0).index()].retain(|w| w.cref() != cref);
+        self.watches[(!w1).index()].retain(|w| w.cref() != cref);
     }
 
     /// Two-watched-literal Boolean constraint propagation.
@@ -899,23 +936,42 @@ impl Solver {
             self.stats.propagations += 1;
             // Clauses watching !p must be visited: p became true, so their
             // watched literal !p became false.
+            let false_lit = !p;
             let mut watchers = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
             let mut conflict = None;
             'watchers: while i < watchers.len() {
                 let w = watchers[i];
-                if self.value(w.blocker) == LBool::True {
+                let blocker = self.value(w.blocker);
+                if blocker == LBool::True {
                     i += 1;
                     continue;
                 }
-                let false_lit = !p;
-                // Normalize so the false literal is at position 1.
-                if self.db.lit(w.cref, 0) == false_lit {
-                    self.db.swap_lits(w.cref, 0, 1);
+                let cref = w.cref();
+                if w.is_binary() {
+                    // The blocker is the other literal: unit or conflicting,
+                    // and the arena is read only on a conflict, which
+                    // analysis reads with the false literal second, as the
+                    // general path below leaves it.
+                    if blocker == LBool::False {
+                        if self.db.lit(cref, 0) == false_lit {
+                            self.db.swap_lits(cref, 0, 1);
+                        }
+                        conflict = Some(cref);
+                        self.qhead = self.trail.len();
+                        break;
+                    }
+                    self.enqueue(w.blocker, cref);
+                    i += 1;
+                    continue;
                 }
-                debug_assert_eq!(self.db.lit(w.cref, 1), false_lit);
-                let first = self.db.lit(w.cref, 0);
-                let len = self.db.size(w.cref);
+                // Normalize so the false literal is at position 1.
+                if self.db.lit(cref, 0) == false_lit {
+                    self.db.swap_lits(cref, 0, 1);
+                }
+                debug_assert_eq!(self.db.lit(cref, 1), false_lit);
+                let first = self.db.lit(cref, 0);
+                let len = self.db.size(cref);
                 if first != w.blocker && self.value(first) == LBool::True {
                     watchers[i].blocker = first;
                     i += 1;
@@ -923,13 +979,10 @@ impl Solver {
                 }
                 // Look for a new literal to watch.
                 for k in 2..len {
-                    let lk = self.db.lit(w.cref, k);
+                    let lk = self.db.lit(cref, k);
                     if self.value(lk) != LBool::False {
-                        self.db.swap_lits(w.cref, 1, k);
-                        self.watches[(!lk).index()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
+                        self.db.swap_lits(cref, 1, k);
+                        self.watches[(!lk).index()].push(Watcher::new(cref, first, false));
                         watchers.swap_remove(i);
                         continue 'watchers;
                     }
@@ -937,11 +990,11 @@ impl Solver {
                 // No new watch: the clause is unit or conflicting.
                 watchers[i].blocker = first;
                 if self.value(first) == LBool::False {
-                    conflict = Some(w.cref);
+                    conflict = Some(cref);
                     self.qhead = self.trail.len();
                     break;
                 }
-                self.enqueue(first, w.cref);
+                self.enqueue(first, cref);
                 i += 1;
             }
             // Put back any remaining watchers (including on conflict).
@@ -960,12 +1013,36 @@ impl Solver {
         None
     }
 
+    /// Literal `k >= 1` of `reason`, the clause that implied `implied`.
+    /// A longer reason holds its implied literal first. A binary clause
+    /// keeps its stored order when it propagates (see `propagate`), so its
+    /// one other literal is told apart by its variable.
+    #[inline]
+    fn antecedent(&self, reason: ClauseRef, size: usize, implied: Var, k: usize) -> Lit {
+        let lit = self.db.lit(reason, k);
+        if size == 2 && lit.var() == implied {
+            self.db.lit(reason, 0)
+        } else {
+            lit
+        }
+    }
+
+    /// One bit per decision level modulo 32, for minimization's quick test
+    /// of whether a literal's level occurs in the clause being learnt.
+    #[inline]
+    fn abstract_level(&self, v: Var) -> u32 {
+        1 << (self.level[v.index()] & 31)
+    }
+
     /// First-UIP conflict analysis with recursive clause minimization.
     ///
-    /// Returns the learnt clause (asserting literal first), the backtrack
-    /// level, and the clause's LBD.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // placeholder for UIP
+    /// Leaves the learnt clause (asserting literal first) in
+    /// `analyze_learnt` and returns the backtrack level and the clause's
+    /// LBD.
+    fn analyze(&mut self, confl: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.analyze_learnt);
+        learnt.clear();
+        learnt.push(Lit::from_index(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -975,12 +1052,16 @@ impl Solver {
         loop {
             self.bump_clause(confl);
             let nlits = self.db.size(confl);
-            let skip = usize::from(p.is_some());
-            for k in skip..nlits {
-                let q = self.db.lit(confl, k);
+            // Every literal of the conflict, every literal but the implied
+            // one of a reason.
+            for k in usize::from(p.is_some())..nlits {
+                let q = match p {
+                    Some(implied) => self.antecedent(confl, nlits, implied.var(), k),
+                    None => self.db.lit(confl, k),
+                };
                 let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
+                if self.seen[v.index()] == UNSEEN && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = SOURCE;
                     self.bump_var(v);
                     if self.level[v.index()] >= current_level {
                         counter += 1;
@@ -992,13 +1073,13 @@ impl Solver {
             // Select next literal on the trail to resolve on.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var().index()] != UNSEEN {
                     break;
                 }
             }
             let lit = self.trail[index];
             p = Some(lit);
-            self.seen[lit.var().index()] = false;
+            self.seen[lit.var().index()] = UNSEEN;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -1009,25 +1090,45 @@ impl Solver {
         let uip = p.expect("conflict at level > 0 has a UIP");
         learnt[0] = !uip;
 
-        // Mark all learnt vars seen (UIP var was unmarked above).
-        self.seen[uip.var().index()] = true;
-        self.analyze_clear = learnt.iter().map(|l| l.var()).collect();
+        // Mark all learnt vars as sources (UIP var was unmarked above).
+        self.seen[uip.var().index()] = SOURCE;
+        self.analyze_clear.clear();
+        self.analyze_clear.extend(learnt.iter().map(|l| l.var()));
 
-        // Recursive minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
+        // Recursive minimization: drop literals implied by the rest and
+        // keep the others in order. Reasons only lead to lower or equal
+        // levels, so the UIP's level takes no part in the level test.
+        let abstract_levels = learnt[1..]
             .iter()
-            .copied()
-            .filter(|&l| self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l))
-            .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
+            .fold(0, |acc, l| acc | self.abstract_level(l.var()));
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l, abstract_levels)
+            {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
         self.stats.learnt_literals += learnt.len() as u64;
 
-        // LBD: number of distinct decision levels.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        // LBD: number of distinct decision levels, counted by stamping
+        // each level the first time a literal shows it. Already-true
+        // assumptions open empty levels, so levels can outnumber variables.
+        let levels = current_level as usize + 1;
+        if self.level_stamp.len() < levels {
+            self.level_stamp.resize(levels, 0);
+        }
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in &learnt {
+            let level = self.level[l.var().index()] as usize;
+            if self.level_stamp[level] != self.lbd_stamp {
+                self.level_stamp[level] = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
 
         // Backtrack level: highest level among non-UIP literals.
         let bt_level = if learnt.len() == 1 {
@@ -1043,10 +1144,11 @@ impl Solver {
             self.level[learnt[1].var().index()]
         };
 
-        for v in std::mem::take(&mut self.analyze_clear) {
-            self.seen[v.index()] = false;
+        for &v in &self.analyze_clear {
+            self.seen[v.index()] = UNSEEN;
         }
-        (learnt, bt_level, lbd)
+        self.analyze_learnt = learnt;
+        (bt_level, lbd)
     }
 
     /// Collects the subset of assumptions that imply `p` (used when an
@@ -1057,65 +1159,108 @@ impl Solver {
         if self.decision_level() == 0 {
             return out;
         }
-        let mut seen = vec![false; self.assigns.len()];
-        seen[p.var().index()] = true;
+        self.seen[p.var().index()] = SOURCE;
         let start = self.trail_lim[0];
         for i in (start..self.trail.len()).rev() {
-            let q = self.trail[i];
-            if !seen[q.var().index()] {
+            let v = self.trail[i].var();
+            if self.seen[v.index()] == UNSEEN {
                 continue;
             }
-            let reason = self.reason[q.var().index()];
+            let reason = self.reason[v.index()];
             if reason == NO_REASON {
-                out.push(q);
+                out.push(self.trail[i]);
             } else {
                 let n = self.db.size(reason);
                 for k in 1..n {
-                    let r = self.db.lit(reason, k);
+                    let r = self.antecedent(reason, n, v, k);
                     if self.level[r.var().index()] > 0 {
-                        seen[r.var().index()] = true;
+                        self.seen[r.var().index()] = SOURCE;
                     }
                 }
             }
+            self.seen[v.index()] = UNSEEN;
         }
+        // `p` stays marked when it was assigned at level 0.
+        self.seen[p.var().index()] = UNSEEN;
         out
     }
 
-    /// Checks whether `l` is redundant in the learnt clause: every literal in
-    /// its reason (transitively) is already marked seen or at level 0.
-    fn lit_redundant(&mut self, l: Lit) -> bool {
-        self.analyze_stack.clear();
-        self.analyze_stack.push(l);
-        let mut newly_seen: Vec<Var> = Vec::new();
-        while let Some(q) = self.analyze_stack.pop() {
-            let reason = self.reason[q.var().index()];
-            debug_assert_ne!(reason, NO_REASON);
-            let nlits = self.db.size(reason);
-            for k in 1..nlits {
-                let r = self.db.lit(reason, k);
-                let v = r.var();
-                if self.seen[v.index()] || self.level[v.index()] == 0 {
+    /// Whether the clause literal `p` is implied by the other literals of
+    /// the clause being learnt: every path back through reasons from `p`
+    /// ends in a [`SOURCE`] or at level 0 before it meets a decision.
+    ///
+    /// An iterative depth-first search (MiniSat 2.2's, after Sörensson and
+    /// Biere, "Minimizing Learned Clauses", SAT 2009) that memoizes each
+    /// visited literal's verdict in `seen`, [`REMOVABLE`] or [`FAILED`],
+    /// so no literal is explored twice in one analysis. A literal at a
+    /// level outside `abstract_levels` fails at once: its reasons lead to
+    /// its level's decision, which is not in the clause. The verdicts are
+    /// exactly those of a search that explores every path, so the learnt
+    /// clause is too.
+    fn lit_redundant(&mut self, p: Lit, abstract_levels: u32) -> bool {
+        debug_assert_eq!(self.seen[p.var().index()], SOURCE);
+        let mut stack = std::mem::take(&mut self.analyze_stack);
+        stack.clear();
+        let mut p = p;
+        let mut reason = self.reason[p.var().index()];
+        let mut size = self.db.size(reason);
+        let mut k = 1;
+        let redundant = loop {
+            if k < size {
+                let l = self.antecedent(reason, size, p.var(), k);
+                let v = l.var().index();
+                let mark = self.seen[v];
+                if self.level[v] == 0 || mark == SOURCE || mark == REMOVABLE {
+                    k += 1;
                     continue;
                 }
-                if self.reason[v.index()] == NO_REASON {
-                    // Hit a decision not in the clause: not redundant.
-                    for nv in newly_seen {
-                        self.seen[nv.index()] = false;
+                let l_reason = self.reason[v];
+                if l_reason == NO_REASON
+                    || mark == FAILED
+                    || self.abstract_level(l.var()) & abstract_levels == 0
+                {
+                    // `l` cannot go, so neither can `p` nor anything on the
+                    // path to it.
+                    stack.push((k, p));
+                    for &(_, q) in &stack {
+                        let q = q.var();
+                        if self.seen[q.index()] == UNSEEN {
+                            self.seen[q.index()] = FAILED;
+                            self.analyze_clear.push(q);
+                        }
                     }
-                    return false;
+                    break false;
                 }
-                self.seen[v.index()] = true;
-                newly_seen.push(v);
-                self.analyze_stack.push(r);
+                // Descend into `l`; `p` resumes after it.
+                stack.push((k + 1, p));
+                p = l;
+                reason = l_reason;
+                size = self.db.size(reason);
+                k = 1;
+            } else {
+                // Every reason literal of `p` is implied: so is `p`.
+                let v = p.var();
+                if self.seen[v.index()] == UNSEEN {
+                    self.seen[v.index()] = REMOVABLE;
+                    self.analyze_clear.push(v);
+                }
+                let Some((resume, q)) = stack.pop() else {
+                    break true;
+                };
+                p = q;
+                reason = self.reason[p.var().index()];
+                size = self.db.size(reason);
+                k = resume;
             }
-        }
-        // Keep the transitive marks so sibling checks can reuse them, but
-        // remember to clear them at the end of analyze().
-        self.analyze_clear.extend(newly_seen);
-        true
+        };
+        self.analyze_stack = stack;
+        redundant
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>, lbd: u32) {
+    /// Stores the clause `analyze` left in `analyze_learnt` and asserts
+    /// its first literal.
+    fn learn(&mut self, lbd: u32) {
+        let learnt = std::mem::take(&mut self.analyze_learnt);
         debug_assert!(!learnt.is_empty());
         self.proof_add(&learnt);
         let asserting = learnt[0];
@@ -1128,6 +1273,7 @@ impl Solver {
             self.attach(cref);
             self.enqueue(asserting, cref);
         }
+        self.analyze_learnt = learnt;
     }
 
     pub(crate) fn backtrack_to(&mut self, level: u32) {
@@ -1191,13 +1337,16 @@ impl Solver {
         self.clause_inc /= self.config.clause_decay;
     }
 
-    /// Whether `cref` is the reason for its first literal's assignment.
+    /// Whether `cref` is the reason for an assignment: that of its first
+    /// literal, or of either literal of a binary clause, which keeps its
+    /// stored order when it propagates.
     pub(crate) fn locked(&self, cref: ClauseRef) -> bool {
-        if self.db.size(cref) == 0 {
-            return false;
-        }
-        let v = self.db.lit(cref, 0).var();
-        self.reason[v.index()] == cref && self.assigns[v.index()].is_assigned()
+        let implies = |k: usize| {
+            let v = self.db.lit(cref, k).var();
+            self.reason[v.index()] == cref && self.assigns[v.index()].is_assigned()
+        };
+        let size = self.db.size(cref);
+        size > 0 && (implies(0) || (size == 2 && implies(1)))
     }
 
     /// Removes the worst half of learnt clauses (by LBD then activity),
@@ -1248,14 +1397,13 @@ impl Solver {
     /// slots of assigned variables, and the learnt-clause list.
     fn garbage_collect(&mut self) {
         static GC_RUNS: sufsat_obs::Counter = sufsat_obs::Counter::new("sat.gc.runs");
-        static GC_BYTES: sufsat_obs::Counter =
-            sufsat_obs::Counter::new("sat.gc.bytes_reclaimed");
+        static GC_BYTES: sufsat_obs::Counter = sufsat_obs::Counter::new("sat.gc.bytes_reclaimed");
         let before_words = self.db.arena_words();
         let wasted_words = self.db.wasted_words();
         let mut to = ClauseDb::new();
         for wl in &mut self.watches {
             for w in wl.iter_mut() {
-                w.cref = self.db.reloc(w.cref, &mut to);
+                w.set_cref(self.db.reloc(w.cref(), &mut to));
             }
         }
         for vi in 0..self.reason.len() {
@@ -1473,7 +1621,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.input_clauses().len(), pigeons + holes * pigeons * (pigeons - 1) / 2);
+        assert_eq!(
+            s.input_clauses().len(),
+            pigeons + holes * pigeons * (pigeons - 1) / 2
+        );
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert_eq!(s.check_proof(), Some(true));
     }
@@ -1516,11 +1667,7 @@ mod tests {
         for h in 0..holes {
             for p1 in 0..pigeons {
                 for p2 in p1 + 1..pigeons {
-                    s.add_clause([
-                        g.negative(),
-                        grid[p1][h].negative(),
-                        grid[p2][h].negative(),
-                    ]);
+                    s.add_clause([g.negative(), grid[p1][h].negative(), grid[p2][h].negative()]);
                 }
             }
         }
@@ -1618,7 +1765,10 @@ mod tests {
             s.add_clause([act.negative(), pair[0].positive(), pair[1].positive()]);
         }
         s.add_clause([v[0].negative(), v[2].negative()]);
-        assert_eq!(s.solve_with_assumptions(&[act.positive()]), SolveResult::Sat);
+        assert_eq!(
+            s.solve_with_assumptions(&[act.positive()]),
+            SolveResult::Sat
+        );
         assert_eq!(s.num_clauses(), 21);
         s.add_clause([act.negative()]);
         // The clean-up waits until the propagations since the last one
@@ -1629,9 +1779,19 @@ mod tests {
             solves += 1;
             assert!(solves <= 4, "satisfied clauses never left");
         }
-        assert!(solves >= 2, "the first solve after the unit cannot pay for a scan");
-        assert_eq!(s.solve_with_assumptions(&[v[0].positive()]), SolveResult::Sat);
-        assert_eq!(s.model_value(v[2]), Some(false), "the unguarded clause stays");
+        assert!(
+            solves >= 2,
+            "the first solve after the unit cannot pay for a scan"
+        );
+        assert_eq!(
+            s.solve_with_assumptions(&[v[0].positive()]),
+            SolveResult::Sat
+        );
+        assert_eq!(
+            s.model_value(v[2]),
+            Some(false),
+            "the unguarded clause stays"
+        );
     }
 
     #[test]
@@ -1703,7 +1863,9 @@ mod tests {
         );
         let failed = s.failed_assumptions().to_vec();
         assert!(!failed.is_empty());
-        assert!(failed.iter().all(|l| *l == a.negative() || *l == b.negative()));
+        assert!(failed
+            .iter()
+            .all(|l| *l == a.negative() || *l == b.negative()));
         // ...but the solver is still usable without them.
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.solve_with_assumptions(&[a.negative()]), SolveResult::Sat);
@@ -1754,6 +1916,21 @@ mod tests {
             s.solve_with_assumptions(&[a.positive(), b.positive()]),
             SolveResult::Sat
         );
+    }
+
+    #[test]
+    fn conflicts_above_more_levels_than_variables_are_analyzed() {
+        // Repeated already-true assumptions open empty decision levels, so
+        // the decisions after them sit at levels above the variable count.
+        let mut s = Solver::new();
+        let vs = nvars(&mut s, 4);
+        for (a, b) in [(1, 2), (1, 3), (2, 3)] {
+            s.add_clause([vs[a].positive(), vs[b].positive()]);
+            s.add_clause([vs[a].negative(), vs[b].negative()]);
+        }
+        let assumptions = [vs[0].positive(); 8];
+        assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Unsat);
+        assert!(s.stats().conflicts > 0);
     }
 
     #[test]
@@ -1878,7 +2055,10 @@ mod tests {
             !s.failed_assumptions().is_empty(),
             "failed-assumption extraction over the compacted arena"
         );
-        assert_eq!(s.solve_with_assumptions(&[vs[1].positive()]), SolveResult::Sat);
+        assert_eq!(
+            s.solve_with_assumptions(&[vs[1].positive()]),
+            SolveResult::Sat
+        );
         assert_eq!(s.model_value(vs[5]), Some(true));
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify, a clippy lint gate, plus smoke runs of the
-# evaluation harness (sequential and with parallel `--jobs` workers), the
-# daemon, the cache and the differential fuzzer. Fully offline; no network,
-# no extra tools beyond cargo and its clippy component.
+# CI entry point: tier-1 verify, clippy, rustdoc and rustfmt gates, plus
+# smoke runs of the evaluation harness (sequential and with parallel
+# `--jobs` workers), the daemon, the cache and the differential fuzzer.
+# Fully offline; no network, no extra tools beyond cargo and its clippy and
+# rustfmt components.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,12 @@ cargo test -q --workspace
 
 echo "==> lint: clippy over every target, warnings are errors"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> docs: rustdoc over every crate, warnings (broken links among them) are errors"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "==> format: rustfmt check of the crates formatted so far"
+cargo fmt --check -p sufsat-sat
 
 echo "==> certify: every definitive answer on all 49 benchmarks x 6 eager modes (release)"
 # Each Valid answer must carry a DRAT refutation that the watched-literal
@@ -104,13 +111,14 @@ awk -F, '
 echo "==> serve: concurrency + soak battery (mixed clients, disconnects, overload)"
 cargo test -q --release --test serve_session
 
-echo "==> serve, core and obs: 10 runs while two busy loops compete for the cores"
+echo "==> serve, core, obs and sat: 10 runs while two busy loops compete for the cores"
 # Deadline and disconnect tests race the daemon's accounting against the
 # clock (the daemon's own unit tests among them), core's single-flight
-# tests race a held flight against a waiting decide, and obs times its
-# disabled fast path; contention for the cores brings out orderings an
-# idle host rarely shows. The trap stops the busy loops however this
-# stage ends.
+# tests race a held flight against a waiting decide, obs times its
+# disabled fast path, and the solver's tests bound how soon a cancelled
+# or timed-out search returns; contention for the cores brings out
+# orderings an idle host rarely shows. The trap stops the busy loops
+# however this stage ends.
 hogs=()
 trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
 for _ in 1 2; do
@@ -118,9 +126,9 @@ for _ in 1 2; do
     hogs+=("$!")
 done
 for run in $(seq 1 10); do
-    echo "--> serve_session, sufsat-core, sufsat-obs and sufsat-serve under load, run ${run} of 10"
+    echo "--> serve_session, sufsat-core, sufsat-obs, sufsat-serve and sufsat-sat under load, run ${run} of 10"
     cargo test -q --release --test serve_session
-    cargo test -q --release -p sufsat-core -p sufsat-obs -p sufsat-serve
+    cargo test -q --release -p sufsat-core -p sufsat-obs -p sufsat-serve -p sufsat-sat
 done
 kill "${hogs[@]}"
 wait "${hogs[@]}" 2>/dev/null || true

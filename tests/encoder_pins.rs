@@ -11,6 +11,11 @@
 //! * For every system of `system_suite()`: the incremental BMC verdict,
 //!   the session's check, re-encode, reused-root, fresh-root and loaded
 //!   CNF clause counts, and its conflict, decision and propagation counts.
+//! * For a few suite members across families and their negations in
+//!   HYBRID(700) mode: the one-shot search itself, that is the loaded CNF
+//!   size and the conflict, decision, propagation, learnt-literal,
+//!   reduction and restart counts, and for some rows the DRAT proof's
+//!   step count or a search after [`Solver::preprocess`].
 //! * For the lightest suite members and their negations: two decides of
 //!   the same formula in one process load the same number of clauses and
 //!   take the same number of conflicts, decisions and propagations.
@@ -30,7 +35,7 @@
 
 use sufsat::encode::{encode, load_into_solver, EncodeOptions, EncodeStats};
 use sufsat::incremental::check_bounded_incremental_report;
-use sufsat::sat::Solver;
+use sufsat::sat::{SolveResult, Solver};
 use sufsat::seplog::SepAnalysis;
 use sufsat::suf::eliminate;
 use sufsat::workloads::{suite, system_suite};
@@ -123,6 +128,45 @@ const BMC: &[(&str, &str, [u64; 8])] = &[
     ("ufdp-02", "Bounded(4)", [5, 3, 1, 9, 7216, 38, 57, 13187]),
     ("ring-02", "Bounded(6)", [7, 0, 6, 8, 314, 0, 0, 326]),
     ("ring-04", "Bounded(10)", [11, 0, 10, 12, 704, 0, 0, 997]),
+];
+
+/// How a search row is solved.
+#[derive(Debug, Clone, Copy)]
+enum Search {
+    /// Load, then solve.
+    Plain,
+    /// Enable DRAT proof logging, load, then solve.
+    Proof,
+    /// Load, run [`Solver::preprocess`], then solve.
+    Preprocessed,
+}
+
+/// Conflict budget of the search rows. Above the 4,000 learnt clauses at
+/// which the default `Config` first reduces the learnt database, so the
+/// rows cover `reduce_db`: cache-14s18 reduces once on its way to 5,696
+/// conflicts. The other rows finish far below it.
+const SEARCH_CONFLICTS: u64 = 6_000;
+
+/// Per row: the suite member, whether its negation is decided, how it is
+/// solved, the verdict of the loaded CNF (`unsat` for a valid formula) and
+/// `[cnf_clauses, conflicts, decisions, propagations, learnt_literals,
+/// reductions, restarts, proof_steps]`, with `proof_steps` 0 when the row
+/// logs no proof. Every row runs in HYBRID(700) mode.
+#[rustfmt::skip]
+const SEARCH: &[(&str, bool, Search, &str, [u64; 8])] = &[
+    ("cache-14s18", false, Search::Plain, "unsat", [11725, 5696, 13834, 2071973, 160188, 1, 29, 0]),
+    ("cache-14s18", false, Search::Proof, "unsat", [11725, 5696, 13834, 2071973, 160188, 1, 29, 7713]),
+    ("cache-14s18", true, Search::Plain, "sat", [15700, 211, 725, 86991, 4639, 0, 2, 0]),
+    ("cache-10s12", false, Search::Plain, "unsat", [5212, 2658, 5297, 592687, 52384, 0, 14, 0]),
+    ("cache-10s12", false, Search::Preprocessed, "unsat", [5212, 1556, 5171, 54145, 16710, 0, 9, 0]),
+    ("cache-10s12", true, Search::Plain, "sat", [7018, 8, 176, 4649, 50, 0, 0, 0]),
+    ("dlx-12x4", false, Search::Plain, "unsat", [10486, 985, 12212, 242031, 6750, 0, 6, 0]),
+    ("dlx-12x4", true, Search::Plain, "sat", [41506, 54, 2375, 44785, 209, 0, 0, 0]),
+    ("driver-130", false, Search::Plain, "unsat", [7311, 1279, 9443, 182464, 6941, 0, 7, 0]),
+    ("driver-130", false, Search::Proof, "unsat", [7311, 1279, 9443, 182464, 6941, 0, 7, 1280]),
+    ("driver-130", true, Search::Plain, "sat", [7313, 181, 3091, 37577, 669, 0, 1, 0]),
+    ("tv-100", false, Search::Plain, "unsat", [35971, 899, 2727, 994872, 11291, 0, 6, 0]),
+    ("tv-100", true, Search::Plain, "sat", [49495, 4, 815, 26474, 11, 0, 0, 0]),
 ];
 
 /// Conflict budget of the trajectory check. tv-30 under SD stops at it
@@ -223,6 +267,78 @@ fn incremental_bmc_matches_the_pinned_figures() {
     assert!(
         mismatches.is_empty(),
         "incremental BMC moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+#[test]
+fn one_shot_searches_match_the_pinned_figures() {
+    let suite = suite();
+    let options = EncodeOptions {
+        mode: EncodingMode::Hybrid(700),
+        ..EncodeOptions::default()
+    };
+    let mut mismatches = Vec::new();
+    for &(name, negate, search, pinned_verdict, pinned) in SEARCH {
+        let bench = suite
+            .iter()
+            .find(|b| b.name == name)
+            .expect("a suite member");
+        let mut tm = bench.tm.clone();
+        let phi = if negate {
+            tm.mk_not(bench.formula)
+        } else {
+            bench.formula
+        };
+        let elim = eliminate(&mut tm, phi);
+        let analysis = SepAnalysis::new(&tm, elim.formula, &elim.p_vars);
+        let encoded =
+            encode(&tm, elim.formula, &analysis, &options).expect("within the translation budget");
+        let mut solver = Solver::new();
+        if matches!(search, Search::Proof) {
+            solver.enable_proof();
+        }
+        load_into_solver(
+            &encoded.circuit,
+            &[!encoded.formula],
+            &encoded.trans_clauses,
+            options.cnf,
+            &mut solver,
+        );
+        if matches!(search, Search::Preprocessed) {
+            solver.preprocess();
+        }
+        solver.set_conflict_budget(Some(SEARCH_CONFLICTS));
+        let verdict = match solver.solve() {
+            SolveResult::Sat => "sat",
+            SolveResult::Unsat => "unsat",
+            SolveResult::Unknown(_) => "budget",
+        };
+        let s = solver.stats();
+        let got = [
+            s.original_clauses,
+            s.conflicts,
+            s.decisions,
+            s.propagations,
+            s.learnt_literals,
+            s.reductions,
+            s.restarts,
+            solver.proof().map_or(0, |p| p.steps().len() as u64),
+        ];
+        if verdict != pinned_verdict || got != pinned {
+            let name = if negate {
+                format!("not {name}")
+            } else {
+                name.to_owned()
+            };
+            mismatches.push(format!(
+                "{name} {search:?}: got {verdict} {got:?}, pinned {pinned_verdict} {pinned:?}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "one-shot search moved:\n{}",
         mismatches.join("\n")
     );
 }
